@@ -17,6 +17,10 @@
 // session observes without perturbing (bit-identity, exact tallies,
 // identical modeled times).
 //
+// The document also carries "md_ns": host ns per md add and mul at
+// d2/d4/d8, whose d4/d2 and d8/d2 mul ratios the gate holds to the
+// baseline — the arithmetic's speed, free of the host's.
+//
 // Two kinds of numbers per case (DESIGN.md §5-§6):
 //   * modeled_kernel_ms — the device model's price of the launch
 //     schedule.  Deterministic and machine-independent, so the CI gate
@@ -27,8 +31,10 @@
 //     hosts with the same core budget.
 // The binary itself fails only on correctness: threaded results must be
 // limb-identical to sequential and every tally measured == declared.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <future>
 #include <random>
 #include <string>
@@ -43,6 +49,7 @@
 #include "core/least_squares.hpp"
 #include "core/refinement.hpp"
 #include "device/dag.hpp"
+#include "md/random.hpp"
 #include "md/simd/dispatch.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
@@ -473,6 +480,38 @@ CaseResult simd_case(int dim, int tile, md::simd::Isa isa) {
 // time to the last bit — the span layer never touches the launch
 // schedule.  seq wall = untraced, par wall = traced; the ratio rides
 // along ungated (a new case surfaces as a note in check_bench.py).
+// Host ns per md add and per md mul at N limbs: the best of 7 timed
+// sweeps over 256 random operand pairs (independent operations, so the
+// figure is throughput, not latency).  The gate uses only ratios across
+// limb counts, which cancel the host's speed (tools/check_bench.py).
+struct MdOpNs {
+  double add = 0, mul = 0;
+};
+
+template <int N>
+MdOpNs md_op_ns() {
+  constexpr int kOps = 256, kSweeps = 40, kReps = 7;
+  std::mt19937_64 gen(0x6d64ULL + N);
+  std::vector<md::mdreal<N>> x(kOps + 1), out(kOps);
+  for (auto& v : x) v = md::random_uniform<N>(gen);
+  const auto best_ns = [&](auto op) {
+    double best = 1e300;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const double t0 = bench::now_ms();
+      for (int s = 0; s < kSweeps; ++s)
+        for (int i = 0; i < kOps; ++i) out[i] = op(x[i], x[i + 1]);
+      best = std::min(best, (bench::now_ms() - t0) * 1e6 / (kSweeps * kOps));
+    }
+    static volatile double sink;  // keeps the results observable
+    sink = out[kOps / 2].to_double();
+    return best;
+  };
+  MdOpNs r;
+  r.add = best_ns([](const auto& a, const auto& b) { return a + b; });
+  r.mul = best_ns([](const auto& a, const auto& b) { return a * b; });
+  return r;
+}
+
 template <class T>
 CaseResult trace_case(int dim, int tile) {
   std::mt19937_64 gen(0x5eed6 + dim);
@@ -610,6 +649,18 @@ int main(int argc, char** argv) {
   // modeled time below, like every other case (DESIGN.md §12).
   cases.push_back(trace_case<md::dd_real>(96, 16));
 
+  // Round-robin over the limb counts, so a drift in host speed hits all
+  // three alike; each figure is its best over the rounds.
+  std::pair<const char*, MdOpNs> md_ns[] = {
+      {"2d", {1e300, 1e300}}, {"4d", {1e300, 1e300}}, {"8d", {1e300, 1e300}}};
+  for (int round = 0; round < 3; ++round) {
+    const MdOpNs r[] = {md_op_ns<2>(), md_op_ns<4>(), md_op_ns<8>()};
+    for (int i = 0; i < 3; ++i) {
+      md_ns[i].second.add = std::min(md_ns[i].second.add, r[i].add);
+      md_ns[i].second.mul = std::min(md_ns[i].second.mul, r[i].mul);
+    }
+  }
+
   bench::header("sequential vs threaded execution engine (V100 model)");
   std::printf("threads: %d (hardware_concurrency %u)\n\n", width,
               std::thread::hardware_concurrency());
@@ -622,6 +673,10 @@ int main(int argc, char** argv) {
                util::fmt2(c.par_wall_ms), util::fmt2(c.speedup()),
                c.identical && c.tally_ok ? "yes" : "NO"});
   t.print();
+  std::printf("\nhost ns per md op:");
+  for (const auto& [name, ns] : md_ns)
+    std::printf("  %s add %.1f mul %.1f", name, ns.add, ns.mul);
+  std::printf("\n");
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
@@ -656,7 +711,18 @@ int main(int argc, char** argv) {
                    c.dag_speedup, c.makespan_ratio);
     std::fprintf(f, "}");
   }
-  std::fprintf(f, "]}\n");
+  const auto write_ns = [&](const char* op, double MdOpNs::*field) {
+    std::fprintf(f, "\"%s\":{", op);
+    for (std::size_t i = 0; i < std::size(md_ns); ++i)
+      std::fprintf(f, "%s\"%s\":%.2f", i ? "," : "", md_ns[i].first,
+                   md_ns[i].second.*field);
+    std::fprintf(f, "}");
+  };
+  std::fprintf(f, "],\"md_ns\":{");
+  write_ns("add", &MdOpNs::add);
+  std::fprintf(f, ",");
+  write_ns("mul", &MdOpNs::mul);
+  std::fprintf(f, "}}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
 

@@ -18,11 +18,11 @@
 // measured == analytic pins and the dry-run equivalence intact.
 //
 // The double-double add here is the branch-free 20-flop "accurate"
-// sequence of the paper's Table 1 d2 row, not mdreal's adaptive
-// expansion distillation; results differ from the mdreal operators by
-// at most a couple of ulps of the trailing limb (both are faithful
-// double-double arithmetics), and all pipeline oracles are
-// backward-error bounds, not cross-arithmetic bit pins.  Bit-identity
+// sequence of the paper's Table 1 d2 row, not mdreal's general-N CAMPARY
+// merge-and-renormalize sequence (md/mdreal.hpp); results differ from
+// the mdreal operators by at most a couple of ulps of the trailing limb
+// (both are faithful double-double arithmetics), and all pipeline
+// oracles are backward-error bounds, not cross-arithmetic bit pins.  Bit-identity
 // IS guaranteed — and pinned by tests — across ISA tables, vector
 // widths and task partitions, because lanes run across output columns
 // only and every lane op is elementwise IEEE (md/simd/kernels_impl.hpp).

@@ -23,7 +23,7 @@ real_of_t<T> norm_max(const Matrix<T>& a) {
   for (int i = 0; i < a.rows(); ++i)
     for (int j = 0; j < a.cols(); ++j) {
       auto v = abs_of(a(i, j));
-      if (m < v) m = v;
+      if (m < v || v.isnan()) m = v;
     }
   return m;
 }
@@ -35,7 +35,7 @@ real_of_t<T> max_abs_diff(const Matrix<T>& a, const Matrix<T>& b) {
   for (int i = 0; i < a.rows(); ++i)
     for (int j = 0; j < a.cols(); ++j) {
       auto v = abs_of(a(i, j) - b(i, j));
-      if (m < v) m = v;
+      if (m < v || v.isnan()) m = v;
     }
   return m;
 }
@@ -51,7 +51,7 @@ real_of_t<T> norm_inf_mat(const Matrix<T>& a) {
   for (int i = 0; i < a.rows(); ++i) {
     real_of_t<T> s{};
     for (int j = 0; j < a.cols(); ++j) s += abs_of(a(i, j));
-    if (m < s) m = s;
+    if (m < s || s.isnan()) m = s;
   }
   return m;
 }

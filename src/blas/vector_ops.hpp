@@ -49,7 +49,7 @@ real_of_t<T> norm_inf(std::span<const T> x) {
   real_of_t<T> m{};
   for (const T& v : x) {
     auto a = abs_of(v);
-    if (m < a) m = a;
+    if (m < a || a.isnan()) m = a;
   }
   return m;
 }

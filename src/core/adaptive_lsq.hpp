@@ -140,14 +140,19 @@ inline double eps_of_limbs(int limbs) noexcept {
 }
 
 // Plain-double norms for the backward-error scale (estimates need no
-// multiple-double arithmetic, and none is tallied).
+// multiple-double arithmetic, and none is tallied).  They propagate NaN
+// (std::max drops a NaN second operand), so a poisoned residual can
+// never read as zero.
+inline double nan_max(double m, double v) noexcept {
+  return v > m || std::isnan(v) ? v : m;
+}
 template <class T>
 double dnorm_inf_mat(const blas::Matrix<T>& a) noexcept {
   double m = 0;
   for (int i = 0; i < a.rows(); ++i) {
     double s = 0;
     for (int j = 0; j < a.cols(); ++j) s += std::fabs(a(i, j).to_double());
-    m = std::max(m, s);
+    m = nan_max(m, s);
   }
   return m;
 }
@@ -157,14 +162,14 @@ double dnorm_one_mat(const blas::Matrix<T>& a) noexcept {
   for (int j = 0; j < a.cols(); ++j) {
     double s = 0;
     for (int i = 0; i < a.rows(); ++i) s += std::fabs(a(i, j).to_double());
-    m = std::max(m, s);
+    m = nan_max(m, s);
   }
   return m;
 }
 template <class T>
 double dnorm_inf_vec(const blas::Vector<T>& v) noexcept {
   double m = 0;
-  for (const T& x : v) m = std::max(m, std::fabs(x.to_double()));
+  for (const T& x : v) m = nan_max(m, std::fabs(x.to_double()));
   return m;
 }
 
@@ -210,6 +215,7 @@ struct AdaptiveState {
   limb_variant_t<LowPrecisionFactors> factors;
   int factor_limbs = 0;  // 0: no factors yet
   bool factors_stagnated = false;
+  bool non_finite = false;  // a residual came out Inf/NaN: the ladder stops
   double cond_est = std::numeric_limits<double>::infinity();
   // Precision-independent scale parts of the backward error
   // eta = ||A^H (b - A x)||_inf / (||A||_1 (||A||_inf ||x||_inf + ||b||_inf)).
@@ -262,6 +268,10 @@ void polish_rung(device::Device& dev, const blas::Matrix<md::mdreal<P>>& ap,
     rs.backward_error = eta;
     rs.forward_estimate = st.cond_est * eta;
 
+    if (!std::isfinite(eta)) {  // non-finite data: stop, never accept
+      st.non_finite = true;
+      break;
+    }
     if (rs.forward_estimate <= opt.tol || gnorm == 0.0) {
       rs.accepted = true;
       break;
@@ -401,7 +411,7 @@ AdaptiveLsqResult<NH> adaptive_least_squares(
   st.bnorm_inf = detail::dnorm_inf_vec(b);
 
   for (const int l : ladder) {
-    if (out.converged) break;
+    if (out.converged || st.non_finite) break;
     with_limbs(l, [&](auto tag) {
       constexpr int P = decltype(tag)::limbs;
       // resolve_rungs already clipped the ladder to [start_limbs, NH];

@@ -14,8 +14,11 @@
 // (QD / CAMPARY convention), and extract() performs the flip.
 //
 // These routines are deliberately simple and allocation-free: callers pass
-// stack buffers.  They are the *oracle* against which the arithmetic is
-// property-tested, and the engine behind the octo-double operations.
+// stack buffers.  grow/sum_terms/extract are exact but data-dependent, so
+// they stay off the arithmetic path: they are the *oracle* against which
+// the arithmetic is property-tested and the exact difference behind the
+// mdreal comparison operators.  renorm, the fixed two-pass
+// renormalization, is the last step of every mdreal add, mul and div.
 #pragma once
 
 #include <cstddef>

@@ -22,7 +22,7 @@
 // d2 row) and the fma-based double-double mul (Dekker/QD style).  They
 // are fixed-sequence by construction — no zero-elimination, no
 // data-dependent control flow — which is what makes them vectorizable
-// bit-identically, unlike mdreal's adaptive expansion distillation.
+// bit-identically.
 #pragma once
 
 #include <cmath>

@@ -362,6 +362,10 @@ CorrectorExit polish_rung(const device::DeviceSpec& spec,
       rs.backward_error = eta;
       rs.forward_estimate = cond * eta;
 
+      if (!std::isfinite(eta)) {  // non-finite residual: never accept
+        exit = CorrectorExit::stagnated;
+        break;
+      }
       if (rs.forward_estimate <= opt.tol || rnorm == 0.0) {
         rs.accepted = true;
         exit = CorrectorExit::accepted;
@@ -582,6 +586,10 @@ StepOutcome run_step_at(const device::DeviceSpec& spec,
       rs.backward_error = eta;
       rs.forward_estimate = rs.cond_estimate * eta;
 
+      if (!std::isfinite(eta)) {  // non-finite residual: never accept
+        exit = CorrectorExit::stagnated;
+        break;
+      }
       if (rs.forward_estimate <= opt.tol || rnorm == 0.0) {
         rs.accepted = true;
         exit = CorrectorExit::accepted;

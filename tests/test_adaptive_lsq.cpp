@@ -8,6 +8,8 @@
 // conservation with mixed per-problem rungs, per-rung report rows).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <random>
 
 #include "blas/condition.hpp"
@@ -257,6 +259,23 @@ TEST(AdaptiveLsq, ImpossibleToleranceExhaustsLadderGracefully) {
   for (const auto& r : res.rungs) EXPECT_FALSE(r.accepted);
   // The best solution so far is still returned (d8-level accuracy).
   EXPECT_LE(worst_vs_ones<8>(res.x), 1e-100);
+}
+
+// A single NaN entry poisons every residual.  The backward-error norms
+// propagate it and the accept predicate demands a finite residual, so
+// the ladder stops unconverged at its first rung instead of accepting a
+// NaN solution (a NaN residual used to read as zero through the max).
+TEST(AdaptiveLsq, NaNEntryNeverConverges) {
+  std::mt19937_64 gen(23);
+  auto a = blas::random_matrix<md::od_real>(32, 16, gen);
+  auto xs = blas::random_vector<md::od_real>(16, gen);
+  auto b = blas::gemv(a, std::span<const md::od_real>(xs));
+  a(5, 7) = md::od_real(std::numeric_limits<double>::quiet_NaN());
+  auto res = core::adaptive_least_squares<8>(device::volta_v100(), a, b, {});
+  EXPECT_FALSE(res.converged);
+  ASSERT_EQ(res.rungs.size(), 1u);
+  EXPECT_FALSE(res.rungs[0].accepted);
+  EXPECT_TRUE(std::isnan(res.rungs[0].backward_error));
 }
 
 TEST(AdaptiveLsq, RungTalliesAreExactAndHostWorkIsAccounted) {

@@ -1,11 +1,13 @@
 // mdreal<N> arithmetic: accuracy against the exact-expansion oracle,
 // algebraic identities at working precision, renormalization invariants,
-// comparisons, and special-value behaviour — for N = 2, 3, 4, 5, 8
-// (the paper's double double / quad double / octo double plus two odd
-// sizes proving the engine is not specialized to powers of two).
+// comparisons, and special-value behaviour — for N = 2, 3, 4, 5, 6, 8, 16
+// (the paper's double double / quad double / octo double, the largest
+// supported count, and sizes proving the engine is not specialized to
+// powers of two).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "md/expansion.hpp"
@@ -22,7 +24,7 @@ template <class T>
 class MdRealTest : public ::testing::Test {};
 
 using Sizes = ::testing::Types<mdreal<2>, mdreal<3>, mdreal<4>, mdreal<5>,
-                               mdreal<8>>;
+                               mdreal<6>, mdreal<8>, mdreal<16>>;
 TYPED_TEST_SUITE(MdRealTest, Sizes);
 
 TYPED_TEST(MdRealTest, EpsMatchesLimbCount) {
@@ -143,6 +145,17 @@ TYPED_TEST(MdRealTest, ComparisonsAreExactOnLowLimbDifferences) {
   EXPECT_TRUE(-b < -a);
   EXPECT_TRUE(a < 2.0);
   EXPECT_TRUE(TypeParam(2.0) == 2.0);
+  // A gapped value: 1 + 2^-1000 differs from 1 only in a limb far below
+  // any nominal limb position.
+  if constexpr (TypeParam::limbs >= 2) {
+    TypeParam g(1.0);
+    g.set_limb(1, std::ldexp(1.0, -1000));
+    EXPECT_TRUE(a < g);
+    EXPECT_TRUE(g > a);
+    EXPECT_TRUE(a != g);
+    EXPECT_FALSE(a == g);
+    EXPECT_TRUE(-g < -a);
+  }
 }
 
 TYPED_TEST(MdRealTest, AbsAndNegation) {
@@ -163,6 +176,45 @@ TYPED_TEST(MdRealTest, NonFinitePropagation) {
   EXPECT_TRUE((a + n).isnan());
   EXPECT_TRUE((a * n).isnan());
   EXPECT_TRUE((a / TypeParam(0.0)).isnan() || !(a / TypeParam(0.0)).isfinite());
+}
+
+// IEEE-faithful specials: overflow gives a signed infinity, never NaN,
+// and products near the top of the range stay finite and accurate in
+// every build (the non-FMA build's Veltkamp split included).
+TYPED_TEST(MdRealTest, OverflowAndNearOverflowProducts) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const TypeParam big(1e300);
+  for (const auto& r : {big * TypeParam(1e10), big * 1e10}) {
+    EXPECT_EQ(r.to_double(), inf);
+    EXPECT_FALSE(r.isnan());
+    for (int i = 1; i < TypeParam::limbs; ++i) EXPECT_EQ(r.limb(i), 0.0);
+  }
+  EXPECT_EQ((-big * TypeParam(1e10)).to_double(), -inf);
+  EXPECT_EQ((TypeParam(std::numeric_limits<double>::max()) +
+             TypeParam(std::numeric_limits<double>::max()))
+                .to_double(),
+            inf);
+
+  const TypeParam third = TypeParam(1.0) / TypeParam(3.0);
+  for (const double x : {std::numeric_limits<double>::max(), 1e307}) {
+    const TypeParam r = TypeParam(x) * third;
+    ASSERT_TRUE(r.isfinite()) << x;
+    // Scaling by a power of two is exact, so the product must equal the
+    // same product taken at unit scale, scaled back.
+    const int e = std::ilogb(x);
+    const TypeParam unit = TypeParam(std::ldexp(x, -e)) * third;
+    for (int i = 0; i < TypeParam::limbs; ++i)
+      EXPECT_EQ(r.limb(i), std::ldexp(unit.limb(i), e)) << x << " limb " << i;
+    // ... and x * (1/3) * 3 recovers x to working precision.
+    const TypeParam back = ldexp(r, -e) * TypeParam(3.0);
+    EXPECT_LE(mag(back - TypeParam(std::ldexp(x, -e))), tol(back, back));
+  }
+
+  // A subnormal head scales exactly too: 2^-1070 * 3 * 2^1000.
+  const TypeParam tiny(std::ldexp(1.0, -1070));
+  EXPECT_EQ((tiny * TypeParam(std::ldexp(3.0, 1000))).to_double(),
+            std::ldexp(3.0, -70));
+  EXPECT_EQ((tiny * std::ldexp(3.0, 1000)).to_double(), std::ldexp(3.0, -70));
 }
 
 TYPED_TEST(MdRealTest, RenormalizedFactory) {

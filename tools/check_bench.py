@@ -66,6 +66,12 @@ What is gated, and why (DESIGN.md §6):
   hardware_concurrency >= 2 guard as --min-speedup, while the modeled
   makespan_ratio must exceed 1 on every case carrying it, on any host —
   the dry-run pricer is machine-independent (DESIGN.md §13).
+* md_ns (host ns per md add and mul at d2/d4/d8, measured by
+  bench_suite) — the d4/d2 and d8/d2 mul RATIOS are gated against the
+  baseline's at --tolerance, on any host: a ratio of two timings on one
+  host cancels the host's speed, so a slowdown of the d>=3 arithmetic
+  fails even where every other wall figure is incomparable.  A baseline
+  carrying md_ns requires it in the new run.
 * bit_identical / tally_conserved — must be true in the new run
   (the bench binary also enforces this; the gate double-checks the
   artifact CI archives).
@@ -108,8 +114,15 @@ def load_doc(path):
     return doc
 
 
-def load_cases(path):
-    return {case_key(c): c for c in load_doc(path)["cases"]}
+# (high, low) limb counts whose md mul cost ratio the gate holds.
+MD_MUL_RATIOS = (("4d", "2d"), ("8d", "2d"))
+
+
+def md_mul_ratios(doc):
+    """{"4d/2d": r, "8d/2d": r} from a document's md_ns mul timings."""
+    mul = doc.get("md_ns", {}).get("mul", {})
+    return {f"{hi}/{lo}": mul[hi] / mul[lo] for hi, lo in MD_MUL_RATIOS
+            if mul.get(hi, 0) > 0 and mul.get(lo, 0) > 0}
 
 
 def main():
@@ -169,7 +182,8 @@ def main():
                       file=sys.stderr)
                 sys.exit(2)
             new[key] = case
-    base = load_cases(args.baseline_json)
+    base_doc = load_doc(args.baseline_json)
+    base = {case_key(c): c for c in base_doc["cases"]}
     tol = args.tolerance
     floor_kinds = args.min_speedup_kinds.split(",")
     # A host that has no second core cannot pay for threading; apply the
@@ -311,6 +325,20 @@ def main():
                     f"{name}: modeled makespan ratio "
                     f"{n['makespan_ratio']:.3f} is not above 1 — the DAG "
                     f"schedule prices no better than fork-join")
+
+    # Host-relative arithmetic cost: md mul at d4 and d8 over d2.
+    new_ratios = md_mul_ratios(new_doc)
+    for name, br in sorted(md_mul_ratios(base_doc).items()):
+        nr = new_ratios.get(name)
+        if nr is None:
+            failures.append(f"md mul {name}: md_ns missing from the new run")
+        elif nr > br * (1.0 + tol):
+            failures.append(
+                f"md mul {name}: cost ratio {nr:.2f} vs baseline {br:.2f} "
+                f"(+{100.0 * (nr / br - 1.0):.1f}% > {100.0 * tol:.0f}%)")
+        elif nr < br * (1.0 - tol):
+            notes.append(f"md mul {name}: cost ratio improved to {nr:.2f} "
+                         f"from {br:.2f} — consider refreshing the baseline")
 
     for key in sorted(set(new) - set(base)):
         notes.append("/".join(str(k) for k in key) +

@@ -27,10 +27,13 @@ class CheckBenchTest(unittest.TestCase):
         self.dir = tempfile.TemporaryDirectory()
         self.addCleanup(self.dir.cleanup)
 
-    def write_doc(self, name, cases, hw=4):
+    def write_doc(self, name, cases, hw=4, md_ns=None):
         path = os.path.join(self.dir.name, name)
+        doc = {"hardware_concurrency": hw, "cases": cases}
+        if md_ns is not None:
+            doc["md_ns"] = md_ns
         with open(path, "w", encoding="utf-8") as f:
-            json.dump({"hardware_concurrency": hw, "cases": cases}, f)
+            json.dump(doc, f)
         return path
 
     def run_gate(self, new, base, *flags):
@@ -182,6 +185,30 @@ class CheckBenchTest(unittest.TestCase):
             qr_case(kind="dagsolve", speedup=0.0, dag_speedup=0.5,
                     makespan_ratio=0.9)])
         self.assertEqual(self.run_gate(new, base), 0)
+
+    def test_md_mul_ratio_gate(self):
+        def md(d2, d4, d8):
+            return {"add": {"2d": 10.0, "4d": 25.0, "8d": 90.0},
+                    "mul": {"2d": d2, "4d": d4, "8d": d8}}
+        base = self.write_doc("base.json", [qr_case()], md_ns=md(40, 100, 320))
+        # A uniformly slower host keeps the ratios: pass.
+        new = self.write_doc("new.json", [qr_case()], md_ns=md(80, 200, 640))
+        self.assertEqual(self.run_gate(new, base), 0)
+        # d8 mul 30% slower relative to d2 (> 25%): fail.
+        new = self.write_doc("new.json", [qr_case()], md_ns=md(40, 100, 416))
+        self.assertEqual(self.run_gate(new, base), 1)
+        # d4 alone slower relative to d2: fail.
+        new = self.write_doc("new.json", [qr_case()], md_ns=md(40, 130, 320))
+        self.assertEqual(self.run_gate(new, base), 1)
+        # Within tolerance, and faster: pass.
+        new = self.write_doc("new.json", [qr_case()], md_ns=md(40, 120, 200))
+        self.assertEqual(self.run_gate(new, base), 0)
+        # A baseline with md_ns requires it in the new run.
+        new = self.write_doc("new.json", [qr_case()])
+        self.assertEqual(self.run_gate(new, base), 1)
+        # A baseline without md_ns gates nothing.
+        old = self.write_doc("old.json", [qr_case()])
+        self.assertEqual(self.run_gate(new, old), 0)
 
     def test_non_bit_identical_fails(self):
         new = self.write_doc("new.json", [qr_case(bit_identical=False)])
