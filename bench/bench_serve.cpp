@@ -8,7 +8,7 @@
 //     The wall ratio is emitted as cache_hit_speedup, the field the
 //     gate's --min-cache-hit-speedup absolute floor applies to: a warm
 //     solve stages only the right-hand side and replays the shared
-//     post-factorization stages (core::staged_lsq_finish) against the
+//     post-factorization stages (core::staged_lsq_finish_exec) against the
 //     resident cached factors, so it must beat the cold pipeline
 //     outright on any host.  The modeled kernel sum is deterministic
 //     (both passes' schedules are data-independent), and the binary

@@ -77,11 +77,11 @@ struct CaseResult {
   // case key in check_bench) and forced-scalar wall / forced-ISA wall.
   std::string isa;
   double simd_speedup = 0;
-  // DAG cases only (dagsolve/hetbatch): fork-join wall / DAG-schedule
-  // wall, and the machine-independent dry-run ratio serialized modeled
-  // schedule / modeled DAG makespan.  Cases carrying these emit
-  // "speedup":0.0 (the servehit precedent) so only --min-dag-speedup
-  // gates them, not the relative threading-ratio fence.
+  // DAG cases only (dagsolve/hetbatch): width-1 wall / width-W wall of
+  // the same task graph, and the machine-independent dry-run ratio
+  // serialized modeled schedule / modeled DAG makespan.  Cases carrying
+  // these emit "speedup":0.0 (the servehit precedent) so only
+  // --min-dag-speedup gates them, not the relative threading-ratio fence.
   double dag_speedup = 0;
   double makespan_ratio = 0;
   double speedup() const { return par_wall_ms > 0 ? seq_wall_ms / par_wall_ms : 0; }
@@ -228,6 +228,18 @@ CaseResult layout_case(int m, int c, int solves, int tile) {
   for (int s = 0; s < solves; ++s)
     residuals.push_back(blas::random_vector<T>(m, gen));
 
+  // One correction solve, its three launches run as one graph.
+  auto solve = [&](device::Device& dev, const device::Staged2D<T>& sq,
+                   const device::Staged2D<T>& srt, int s) {
+    blas::Vector<T> x;
+    device::GraphExec exec;
+    core::correction_solve_staged_exec<T>(
+        dev, exec, &sq, &srt, std::span<const T>(residuals[std::size_t(s)]),
+        &x, m, c, tile);
+    exec.run(dev);
+    return x;
+  };
+
   // Staged-resident: factors staged once, launches read them resident.
   auto sdev = make_dev<T>();
   std::vector<blas::Vector<T>> xs;
@@ -235,10 +247,7 @@ CaseResult layout_case(int m, int c, int solves, int tile) {
   {
     auto sq = sdev.stage(q);
     auto srt = sdev.stage(rtop);
-    for (int s = 0; s < solves; ++s)
-      xs.push_back(core::correction_solve_staged_run<T>(
-          sdev, &sq, &srt, std::span<const T>(residuals[std::size_t(s)]), m,
-          c, tile));
+    for (int s = 0; s < solves; ++s) xs.push_back(solve(sdev, sq, srt, s));
   }
   const double t1 = now_ms();
 
@@ -249,9 +258,7 @@ CaseResult layout_case(int m, int c, int solves, int tile) {
   for (int s = 0; s < solves; ++s) {
     auto sq = idev.stage(q);
     auto srt = idev.stage(rtop);
-    xi.push_back(core::correction_solve_staged_run<T>(
-        idev, &sq, &srt, std::span<const T>(residuals[std::size_t(s)]), m, c,
-        tile));
+    xi.push_back(solve(idev, sq, srt, s));
   }
   const double t3 = now_ms();
 
@@ -269,16 +276,15 @@ CaseResult layout_case(int m, int c, int solves, int tile) {
   return r;
 }
 
-// Event-driven DAG schedule vs fork-join barriers (DESIGN.md §13): the
-// batched factor-reusing correction-solve workload — `solves`
+// The event-driven task graph at one lane vs `width` lanes (DESIGN.md
+// §13): the batched factor-reusing correction-solve workload — `solves`
 // independent three-launch chains (residual upload, Q^H r, triangular
-// solve) against one resident factorization.  Fork-join barriers every
-// launch; the DAG run puts all chains in one task graph and drains them
-// with `width` lanes, overlapping chain k+1's upload with chain k's
-// kernels.  Results must be limb-identical (disjoint output slots,
-// fixed in-task reduction order) and the modeled schedule is
-// declaration-driven, hence policy-independent.  dag_speedup is the
-// measured wall ratio; makespan_ratio prices the same graph dry —
+// solve) against one resident factorization, all in one task graph.  One
+// lane drains the chains in order; `width` lanes overlap chain k+1's
+// upload with chain k's kernels.  Results must be limb-identical
+// (disjoint output slots, fixed in-task reduction order) and the modeled
+// schedule is declaration-driven, hence lane-independent.  dag_speedup
+// is the measured wall ratio; makespan_ratio prices the same graph dry —
 // machine-independent, gated > 1 on any host.
 template <class T>
 CaseResult dagsolve_case(int m, int c, int solves, int tile,
@@ -293,7 +299,7 @@ CaseResult dagsolve_case(int m, int c, int solves, int tile,
   for (int s = 0; s < solves; ++s)
     residuals.push_back(blas::random_vector<T>(m, gen));
 
-  // Fork-join: each chain's launches barrier before the next chain.
+  // One lane: the caller thread drains every chain.
   auto fdev = make_dev<T>();
   auto fq = fdev.stage(q);
   auto frt = fdev.stage(rtop);
@@ -302,12 +308,11 @@ CaseResult dagsolve_case(int m, int c, int solves, int tile,
                                              c, tile);
   const double t1 = now_ms();
 
-  // DAG: one graph of `solves` independent chains over `width` lanes.
+  // The same graph over `width` lanes.
   auto ddev = make_dev<T>();
   auto dq = ddev.stage(q);
   auto drt = ddev.stage(rtop);
   core::DagSolveOptions dopt;
-  dopt.schedule = core::SchedulePolicy::dag;
   dopt.lanes = width;
   dopt.pool = &pool;
   const double t2 = now_ms();
@@ -336,14 +341,14 @@ CaseResult dagsolve_case(int m, int c, int solves, int tile,
   return r;
 }
 
-// Heterogeneous batched least squares under the DAG scheduler
-// (DESIGN.md §13): a mixed-size batch over a V100 + RTX 2080 pool, run
-// with the fixed fork-join sharding and again as a coarse task graph
-// (stage-in -> solve -> stage-out per problem) whose workers STEAL
-// across pool slots when their home queue drains.  Per-problem results
-// are limb-identical (same shard assignment, one thread per problem
-// either way); the makespan ratio prices the graph's overlap across the
-// pool's lanes against the serialized schedule.
+// Heterogeneous batched least squares under the task graph (DESIGN.md
+// §13): a mixed-size batch over a V100 + RTX 2080 pool, run as a coarse
+// task graph (stage-in -> solve -> stage-out per problem) on one worker
+// and again on `width` workers that STEAL across pool slots when their
+// home queue drains.  Per-problem results are limb-identical (same shard
+// assignment, one thread per problem either way); the makespan ratio
+// prices the graph's overlap across the pool's lanes against the
+// serialized schedule.
 template <class T>
 CaseResult hetbatch_case(int problems, int rows, int cols, int tile,
                          int width) {
@@ -360,13 +365,13 @@ CaseResult hetbatch_case(int problems, int rows, int cols, int tile,
 
   core::BatchedLsqOptions opt;
   opt.tile = tile;
-  opt.threads = width;
+  opt.threads = 1;
   const double t0 = now_ms();
   auto rf = core::batched_least_squares<T>(pool, batch, opt);
   const double t1 = now_ms();
 
   core::BatchedLsqOptions dopt = opt;
-  dopt.schedule = core::SchedulePolicy::dag;
+  dopt.threads = width;
   const double t2 = now_ms();
   auto rd = core::batched_least_squares<T>(pool, batch, dopt);
   const double t3 = now_ms();
@@ -379,9 +384,9 @@ CaseResult hetbatch_case(int problems, int rows, int cols, int tile,
   r.dag_speedup = r.speedup();
 
   // Dry pricing of the same coarse graph over the pool's lanes: the
-  // modeled wall of each problem (from the fork-join run — declaration-
-  // driven, policy-independent) split into its stage-in / compute /
-  // stage-out nodes, exactly as the dag route builds them.
+  // modeled wall of each problem (declaration-driven, width-independent)
+  // split into its stage-in / compute / stage-out nodes, exactly as the
+  // batched driver builds them.
   device::TaskGraph g;
   for (int s = 0; s < pool.size(); ++s) {
     const device::DeviceSpec& spec = *pool.slots[std::size_t(s)];
@@ -630,11 +635,12 @@ int main(int argc, char** argv) {
   // the staged_speedup ratio the gate locks in (DESIGN.md §8).
   cases.push_back(layout_case<md::dd_real>(320, 8, 448, 8));
   cases.push_back(layout_case<md::qd_real>(288, 8, 160, 8));
-  // Event-driven DAG vs fork-join (DESIGN.md §13): the batched
-  // correction-solve chains on one device, and the coarse heterogeneous
-  // batch over a V100 + RTX 2080 pool.  seq wall = fork-join, par wall =
-  // DAG; dag_speedup is their ratio and makespan_ratio the
-  // machine-independent dry-run price the gate requires above 1.
+  // The event-driven task graph at one worker vs `width` (DESIGN.md
+  // §13): the batched correction-solve chains on one device, and the
+  // coarse heterogeneous batch over a V100 + RTX 2080 pool.  seq wall =
+  // one worker, par wall = `width`; dag_speedup is their ratio and
+  // makespan_ratio the machine-independent dry-run price the gate
+  // requires above 1.
   cases.push_back(dagsolve_case<md::dd_real>(320, 8, 448, 8, pool, width));
   cases.push_back(hetbatch_case<md::dd_real>(10, 40, 16, 8, width));
   // Explicit-SIMD ablation, one case per vector tier this host can run

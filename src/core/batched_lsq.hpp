@@ -114,9 +114,9 @@ struct BatchProblem {
 
 // Inherits the shared execution knobs from core::ExecOptions.  Here
 // `parallelism` is the tile-level width per problem (DESIGN.md §5): every
-// problem's Device runs its tiled kernel bodies as up to `parallelism`
-// concurrent tasks — the shard's own thread plus helpers from ONE tile
-// pool shared by all shards, sized so batch-level and tile-level
+// problem's Device runs its launch graphs on up to `parallelism`
+// concurrent workers — the batch worker's own thread plus helpers from ONE
+// tile pool shared by all problems, sized so batch-level and tile-level
 // parallelism compose without oversubscribing the host
 // (tile_pool_helpers below).  A non-null `tile_pool` supplies that shared
 // pool externally (the serve layer passes its own); null means the driver
@@ -164,7 +164,7 @@ struct BatchedLsqResult {
   std::vector<BatchedProblemResult<T>> problems;  // indexed by problem id
   std::vector<std::vector<int>> shards;           // pool slot -> problem ids
   util::BatchReport report;
-  // SchedulePolicy::dag only: tasks executed and cross-slot steals.
+  // The batch graph's run: tasks executed and cross-slot steals.
   device::DagRunStats dag_stats;
 };
 
@@ -392,10 +392,10 @@ std::vector<std::vector<int>> shard_assignment(
   return shards;
 }
 
-// The batched driver.  Shards the problems over the pool, solves every
-// shard on the host thread pool (problems of one shard run in order, on
-// one thread, mirroring a device stream), and aggregates the batch
-// report.
+// The batched driver.  Shards the problems over the pool, solves them
+// through one coarse task graph on the host (each problem on one thread
+// against its slot's spec, idle workers stealing across slots), and
+// aggregates the batch report.
 template <class T>
 BatchedLsqResult<T> batched_least_squares(
     const DevicePool& pool, const std::vector<BatchProblem<T>>& problems,
@@ -412,9 +412,9 @@ BatchedLsqResult<T> batched_least_squares(
 
   {
     const int width = opt.threads > 0 ? std::min(opt.threads, d) : d;
-    // One tile pool shared by every shard (DESIGN.md §5): shard workers
-    // participate in their own tiled launches and borrow helpers from
-    // this pool, so total host threads stay bounded by
+    // One tile pool shared by every shard (DESIGN.md §5): batch workers
+    // participate in their own problems' launch graphs and borrow helpers
+    // from this pool, so total host threads stay bounded by
     // width + tile_pool_helpers() regardless of how the two knobs are
     // combined.  An externally supplied opt.tile_pool (the serve layer's)
     // is used as-is; otherwise the driver sizes and owns one.
@@ -427,92 +427,74 @@ BatchedLsqResult<T> batched_least_squares(
         tile_pool = &*owned_pool;
       }
     }
-    if (opt.schedule == SchedulePolicy::dag) {
-      if (opt.pipeline == BatchPipeline::adaptive)
-        throw std::invalid_argument(
-            "mdlsq: SchedulePolicy::dag batches run the direct pipeline "
-            "only (the ladder's escalation loop is inherently sequential "
-            "per problem)");
-      // Coarse-grained task graph over the pool (DESIGN.md §13): per
-      // problem a stage-in transfer node, a compute node (the full
-      // per-problem pipeline on its own fresh Device), and a stage-out
-      // node, all pinned to the problem's assigned slot.  Workers drain
-      // their home slot's ready queue in worst-modeled-time-first order
-      // and STEAL from other slots when it runs dry — so a shard that
-      // finishes early absorbs the backlog of a slow (or slow-spec) one,
-      // which the fixed fork-join sharding cannot do.  Each problem still
-      // runs on one thread against its own Device, so results and
-      // per-problem tallies are bit-identical to the fork-join route.
-      std::vector<int> slot_of(problems.size(), 0);
-      for (int s = 0; s < d; ++s)
-        for (int i : out.shards[static_cast<std::size_t>(s)])
-          slot_of[static_cast<std::size_t>(i)] = s;
-      device::TaskGraph g;
-      for (std::size_t i = 0; i < problems.size(); ++i) {
-        const int s = slot_of[i];
-        const device::DeviceSpec& spec =
-            *pool.slots[static_cast<std::size_t>(s)];
-        const BatchProblem<T>& p = problems[i];
-        const std::int64_t in_bytes =
-            device::Device::staging_bytes<T>(p.m(), p.c()) +
-            device::Device::staging_bytes<T>(p.m(), 1);
-        const std::int64_t out_bytes =
-            device::Device::staging_bytes<T>(p.c(), 1) +
-            device::Device::staging_bytes<T>(p.m(), p.m()) +
-            device::Device::staging_bytes<T>(p.m(), p.c());
-        const double in_ms = device::transfer_time_ms(spec, in_bytes);
-        const double out_ms = device::transfer_time_ms(spec, out_bytes);
-        const double wall = detail::modeled_wall_ms<T>(spec, p, opt);
+    // Coarse-grained task graph over the pool (DESIGN.md §13): per
+    // problem a stage-in transfer node, a compute node (the full
+    // per-problem pipeline — direct or adaptive — on its own fresh
+    // Device), and a stage-out node, all pinned to the problem's
+    // assigned slot.  Workers drain their home slot's ready queue in
+    // worst-modeled-time-first order and STEAL from other slots when it
+    // runs dry — so a shard that finishes early absorbs the backlog of a
+    // slow (or slow-spec) one.  Each problem runs on one thread against
+    // its slot's spec and its own Device, so results and per-problem
+    // tallies are bit-identical at every worker count.
+    std::vector<int> slot_of(problems.size(), 0);
+    for (int s = 0; s < d; ++s)
+      for (int i : out.shards[static_cast<std::size_t>(s)])
+        slot_of[static_cast<std::size_t>(i)] = s;
+    device::TaskGraph g;
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      const int s = slot_of[i];
+      const device::DeviceSpec& spec =
+          *pool.slots[static_cast<std::size_t>(s)];
+      const BatchProblem<T>& p = problems[i];
+      const std::int64_t in_bytes =
+          device::Device::staging_bytes<T>(p.m(), p.c()) +
+          device::Device::staging_bytes<T>(p.m(), 1);
+      const std::int64_t out_bytes =
+          device::Device::staging_bytes<T>(p.c(), 1) +
+          device::Device::staging_bytes<T>(p.m(), p.m()) +
+          device::Device::staging_bytes<T>(p.m(), p.c());
+      const double in_ms = device::transfer_time_ms(spec, in_bytes);
+      const double out_ms = device::transfer_time_ms(spec, out_bytes);
+      const double wall = detail::modeled_wall_ms<T>(spec, p, opt);
 
-        device::TaskNode tin;
-        tin.label = "stage in p" + std::to_string(i);
-        tin.kind = device::TaskKind::transfer;
-        tin.device = s;
-        tin.modeled_ms = in_ms;
-        const int id_in = g.add(std::move(tin));
+      device::TaskNode tin;
+      tin.label = "stage in p" + std::to_string(i);
+      tin.kind = device::TaskKind::transfer;
+      tin.device = s;
+      tin.modeled_ms = in_ms;
+      const int id_in = g.add(std::move(tin));
 
-        device::TaskNode comp;
-        comp.label = "solve p" + std::to_string(i);
-        comp.kind = device::TaskKind::kernel;
-        comp.device = s;
-        comp.modeled_ms = std::max(0.0, wall - in_ms - out_ms);
-        comp.deps = {id_in};
-        comp.body = [&out, &pool, &problems, &opt, tile_pool, i, s] {
-          out.problems[i] = detail::solve_one<T>(
-              *pool.slots[static_cast<std::size_t>(s)], s,
-              static_cast<int>(i), problems[i], opt, tile_pool);
-        };
-        const int id_comp = g.add(std::move(comp));
+      device::TaskNode comp;
+      comp.label = "solve p" + std::to_string(i);
+      comp.kind = device::TaskKind::kernel;
+      comp.device = s;
+      comp.modeled_ms = std::max(0.0, wall - in_ms - out_ms);
+      comp.deps = {id_in};
+      comp.body = [&out, &pool, &problems, &opt, tile_pool, i, s] {
+        out.problems[i] = detail::solve_one<T>(
+            *pool.slots[static_cast<std::size_t>(s)], s,
+            static_cast<int>(i), problems[i], opt, tile_pool);
+      };
+      const int id_comp = g.add(std::move(comp));
 
-        device::TaskNode tout;
-        tout.label = "stage out p" + std::to_string(i);
-        tout.kind = device::TaskKind::transfer;
-        tout.device = s;
-        tout.modeled_ms = out_ms;
-        tout.deps = {id_comp};
-        g.add(std::move(tout));
-      }
-      std::optional<util::ThreadPool> dag_helpers;
-      device::DagRunOptions ro;
-      ro.width = width;
-      ro.devices = d;
-      if (width > 1) {
-        dag_helpers.emplace(width - 1);
-        ro.pool = &*dag_helpers;
-      }
-      out.dag_stats = device::run_graph(g, ro);
-    } else {
-      util::ThreadPool workers(width);
-      for (int s = 0; s < d; ++s) {
-        workers.submit([&, s] {
-          for (int i : out.shards[static_cast<std::size_t>(s)])
-            out.problems[static_cast<std::size_t>(i)] = detail::solve_one<T>(
-                *pool.slots[static_cast<std::size_t>(s)], s, i,
-                problems[static_cast<std::size_t>(i)], opt, tile_pool);
-        });
-      }
-      workers.wait();
+      device::TaskNode tout;
+      tout.label = "stage out p" + std::to_string(i);
+      tout.kind = device::TaskKind::transfer;
+      tout.device = s;
+      tout.modeled_ms = out_ms;
+      tout.deps = {id_comp};
+      g.add(std::move(tout));
     }
+    std::optional<util::ThreadPool> dag_helpers;
+    device::DagRunOptions ro;
+    ro.width = width;
+    ro.devices = d;
+    if (width > 1) {
+      dag_helpers.emplace(width - 1);
+      ro.pool = &*dag_helpers;
+    }
+    out.dag_stats = device::run_graph(g, ro);
   }
 
   util::BatchReport& rep = out.report;

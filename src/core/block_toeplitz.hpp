@@ -81,7 +81,8 @@ class BlockToeplitzSolver {
     validate_tile(block_dim(), tile);
     const int m = block_dim();
     auto sa = dev.stage(blocks_[0]);
-    StagedQr<T> f = blocked_qr_staged_run<T>(dev, &sa, m, m, tile);
+    device::GraphExec exec;
+    StagedQr<T> f = blocked_qr_staged_exec<T>(dev, exec, &sa, m, m, tile);
     qr_ = QrFactors<T>{dev.unstage(f.q), dev.unstage(f.r)};
     build_r_top();
     // The factors are ALREADY resident: keep Q's staged buffer and copy
@@ -170,14 +171,18 @@ class BlockToeplitzSolver {
       throw std::invalid_argument(
           "mdlsq: BlockToeplitzSolver rhs length must equal the block "
           "dimension");
-    return correction_solve_staged_run<T>(dev, &staged_q_, &staged_rtop_, r,
-                                          block_dim(), block_dim(), tile);
+    blas::Vector<T> dx;
+    device::GraphExec exec;
+    correction_solve_staged_exec<T>(dev, exec, &staged_q_, &staged_rtop_, r,
+                                    &dx, block_dim(), block_dim(), tile);
+    exec.run(dev);
+    return dx;
   }
 
-  // Device-priced series solve: per order one tiled convolution launch
-  // (orders beyond the bandwidth convolve only the stored blocks) plus
-  // one factor-reusing diagonal solve.  Functional mode; the dry price of
-  // the identical schedule is solve_series_dry.
+  // Device-priced series solve: per order one task graph of a tiled
+  // convolution launch (orders beyond the bandwidth convolve only the
+  // stored blocks) feeding one factor-reusing diagonal solve.  Functional
+  // mode; the dry price of the identical schedule is solve_series_dry.
   std::vector<blas::Vector<T>> solve_on(
       device::Device& dev, const std::vector<blas::Vector<T>>& rhs,
       int tile) const {
@@ -211,9 +216,11 @@ class BlockToeplitzSolver {
     std::vector<blas::Vector<T>> x;
     if (fn) x.reserve(static_cast<std::size_t>(orders));
     blas::Vector<T> r;
+    device::GraphExec exec;
     for (int k = 0; k < orders; ++k) {
       const int j_max = std::min(k, band - 1);
       if (fn) r = (*rhs)[static_cast<std::size_t>(k)];
+      device::Wave conv;
       if (j_max > 0) {
         // r -= sum_{j=1..j_max} T_j x_{k-j}: each task owns a contiguous
         // row block of r; every row's dot products reduce in fixed
@@ -223,10 +230,10 @@ class BlockToeplitzSolver {
             O::fma() * (jm * m * m) + O::sub() * (jm * m);
         const md::OpTally serial =
             O::fma() * (jm * ceil_div(m, tile)) + O::sub() * jm;
-        dev.launch_tiled(
-            stage::toeplitz_conv, m, tile, ops,
+        conv = exec.launch_tiled(
+            dev, stage::toeplitz_conv, m, tile, ops,
             (jm * std::int64_t(m) * m + 2 * std::int64_t(m)) * esz, serial,
-            blas::block_count(m, par), [&](int task) {
+            blas::block_count(m, par), {}, [&](int task) {
               const auto blk = blas::block_range(m, par, task);
               // The band blocks are read from their staged-resident
               // copies — same values, same reduction order.  Views are
@@ -247,10 +254,13 @@ class BlockToeplitzSolver {
               }
             });
       }
-      auto xk = correction_solve_staged_run<T>(
-          dev, fn ? &self->staged_q_ : nullptr,
+      blas::Vector<T> xk;
+      correction_solve_staged_exec<T>(
+          dev, exec, fn ? &self->staged_q_ : nullptr,
           fn ? &self->staged_rtop_ : nullptr,
-          fn ? std::span<const T>(r) : std::span<const T>{}, m, m, tile);
+          fn ? std::span<const T>(r) : std::span<const T>{},
+          fn ? &xk : nullptr, m, m, tile, conv);
+      exec.run(dev);
       if (fn) x.push_back(std::move(xk));
     }
     return x;

@@ -16,7 +16,7 @@
 // Stage names match the row legend of the paper's Tables 3-6.
 //
 // Staged-resident execution (DESIGN.md §8).  The factorization is the
-// staged-resident driver blocked_qr_staged_run: the input arrives as a
+// staged-resident driver blocked_qr_staged_exec: the input arrives as a
 // device::Staged2D (limb-planar, one plane of doubles per limb), every
 // intermediate — R, Q, Y, W, YWT, scratch — lives in staged storage for
 // the whole schedule, and the factors are RETURNED resident so downstream
@@ -30,19 +30,19 @@
 // transfers; their schedules and transfer totals are unchanged from the
 // pre-resident code (the model always priced A in and Q, R out).
 //
-// Host execution engine (DESIGN.md §5).  The schedule above is a task
-// graph: each column of the panel factorization is a short sequential
-// chain (its reflector feeds the next column), while everything after the
-// panel — the W accumulation rows and the aggregated WY trailing updates
-// of stages 3/4, the (I - V T V^H)-style products of formulas (14)/(15) —
-// decomposes into independent per-tile tasks that own disjoint row or
-// column blocks of their output.  launch_tiled() runs those tasks on the
-// Device's util::ThreadPool (dev.set_parallelism), with each launch a
-// join point, exactly the stream-ordered dependency structure a GPU
-// enforces between kernels.  Every output element's reduction runs
-// wholly inside one task in fixed ascending order (blas::gemm_block), so
-// results are bit-identical at every parallelism width, and per-task
-// tallies sum to the same declared counts.
+// Host execution engine (DESIGN.md §5, §13).  The schedule above is a
+// task graph: each column of the panel factorization is a short
+// sequential chain (its reflector feeds the next column), while
+// everything after the panel — the W accumulation rows and the aggregated
+// WY trailing updates of stages 3/4, the (I - V T V^H)-style products of
+// formulas (14)/(15) — decomposes into independent per-tile tasks that
+// own disjoint row or column blocks of their output.  device::GraphExec
+// turns every launch into those task nodes, with explicit edges for the
+// true data dependencies, and runs them on the Device's util::ThreadPool
+// (dev.set_parallelism).  Every output element's reduction runs wholly
+// inside one task in fixed ascending order (blas::gemm_block), so results
+// are bit-identical at every parallelism width, and per-task tallies sum
+// to the same declared counts.
 //
 // Every launch declares its exact analytic op tally (tally_rules.hpp);
 // the functional bodies are written so the measured tally matches it
@@ -65,7 +65,7 @@
 #include "blas/panel.hpp"
 #include "blas/vector_ops.hpp"
 #include "core/tally_rules.hpp"
-#include "device/dag.hpp"
+#include "device/dag_scheduler.hpp"
 #include "device/launch.hpp"
 #include "device/staged.hpp"
 #include "obs/trace.hpp"
@@ -106,13 +106,12 @@ struct StagedQr {
 // stage()/unstage() transfers belong to the entry points, so a pipeline
 // that chains further resident launches does not pay phantom transfers.
 //
-// Executor parameterization (DESIGN.md §13): the SAME launch sites and
-// analytic formulas serve both schedules.  device::DirectExec runs them
-// fork-join, launch for launch, exactly as the pre-DAG engine did;
-// device::GraphExec defers the bodies into a TaskGraph whose edges encode
-// the true data dependencies and executes it (event-driven, no wave
-// barriers) before this function returns — the graph must run while this
-// frame's scratch buffers are alive.  Dependency structure per tile k:
+// Execution (DESIGN.md §13): `exec` defers the bodies into a TaskGraph
+// whose edges encode the true data dependencies and executes it
+// (event-driven, no wave barriers) before this function returns — the
+// graph must run while this frame's scratch buffers are alive.  A dry
+// run only declares the launches (or, for a makespan pricer, records
+// them).  Dependency structure per tile k:
 //   * stages 1+2 form ONE sequential chain (each column's reflector feeds
 //     the next; W accumulates column by column; the shared v/w/u/betas
 //     scratch is safe because the chain serializes its users);
@@ -123,9 +122,10 @@ struct StagedQr {
 //     qwyt(k) — the dominant M^3 product — runs concurrently with
 //     ywtc(k), radd(k) and the whole panel chain of tile k+1.  Every
 //     buffer is fully written before each read, so values (and therefore
-//     results) are bit-identical to the single-buffer fork-join walk.
-template <class T, class Exec>
-StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
+//     results) are bit-identical at every width and completion order.
+template <class T>
+StagedQr<T> blocked_qr_staged_exec(device::Device& dev,
+                                   device::GraphExec& exec,
                                    device::Staged2D<T>* a, int M, int C,
                                    int n) {
   using traits = blas::scalar_traits<T>;
@@ -151,9 +151,8 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
   StagedQr<T> out;
   device::Staged2D<T>& R = out.r;
   device::Staged2D<T>& Q = out.q;
-  // YWT is parity-double-buffered and SCR split per consumer so the DAG
-  // schedule can overlap tiles (see the dependency notes above); the
-  // fork-join walk uses them in strict program order, values unchanged.
+  // YWT is parity-double-buffered and SCR split per consumer so the graph
+  // can overlap tiles (see the dependency notes above).
   device::Staged2D<T> Y, W, YWTbuf[2], SCRQ, SCRR;
   if (fn) {
     if (a == nullptr || a->rows() != M || a->cols() != C)
@@ -547,20 +546,10 @@ StagedQr<T> blocked_qr_staged_exec(device::Device& dev, Exec& exec,
     ywtc_hist[pb] = ywtc;  // empty when tc == 0
   }
 
-  // Deferred-mode execution happens HERE, while every scratch buffer the
-  // bodies captured is still alive; fork-join already ran everything.
+  // The graph executes HERE, while every scratch buffer the bodies
+  // captured is still alive.
   exec.run(dev);
   return out;
-}
-
-// Fork-join staged driver — the historical entry point, schedule and
-// results unchanged.
-template <class T>
-StagedQr<T> blocked_qr_staged_run(device::Device& dev,
-                                  device::Staged2D<T>* a, int M, int C,
-                                  int n) {
-  device::DirectExec exec;
-  return blocked_qr_staged_exec<T>(dev, exec, a, M, C, n);
 }
 
 // Shared host-boundary driver.  `a` must be non-null in functional mode
@@ -574,14 +563,15 @@ BlockedQrOutput<T> blocked_qr_run(device::Device& dev,
   const bool fn = dev.functional();
   assert(!fn || a != nullptr);
   BlockedQrOutput<T> out;
+  device::GraphExec exec;
   if (fn) {
     device::Staged2D<T> sa = dev.stage(*a);
-    StagedQr<T> f = blocked_qr_staged_run<T>(dev, &sa, M, C, n);
+    StagedQr<T> f = blocked_qr_staged_exec<T>(dev, exec, &sa, M, C, n);
     out.q = dev.unstage(f.q);
     out.r = dev.unstage(f.r);
   } else {
     dev.price_staging<T>(M, C);
-    blocked_qr_staged_run<T>(dev, nullptr, M, C, n);
+    blocked_qr_staged_exec<T>(dev, exec, nullptr, M, C, n);
     dev.price_staging<T>(M, M);
     dev.price_staging<T>(M, C);
   }
@@ -607,7 +597,8 @@ StagedQr<T> blocked_qr_staged(device::Device& dev, device::Staged2D<T>&& a,
         "schedules with blocked_qr_dry)");
   const int M = a.rows(), C = a.cols();
   device::Staged2D<T> local = std::move(a);
-  return blocked_qr_staged_run<T>(dev, &local, M, C, tile);
+  device::GraphExec exec;
+  return blocked_qr_staged_exec<T>(dev, exec, &local, M, C, tile);
 }
 
 // Dry-run entry point: walk and price the schedule for given dimensions.

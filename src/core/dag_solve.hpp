@@ -1,24 +1,21 @@
-// Batched factor-reusing correction solves — the DAG scheduler's bread
-// and butter workload (DESIGN.md §13).
+// Batched factor-reusing correction solves — the task graph's bread and
+// butter workload (DESIGN.md §13).
 //
 // A path tracker (or a refinement ladder) holds ONE resident QR
 // factorization and fires MANY independent correction solves against it:
 // residual upload -> Q^H r -> triangular back substitution, per solve.
-// Under the fork-join policy the three launches of solve k all complete
-// before solve k+1 issues — every launch is a barrier, so the host
-// serializes work that has no data dependencies across solves.  Under the
-// DAG policy all N three-node chains live in one task graph; the chains
-// share no edges (the factors are read-only, every solve owns its
-// residual and output slot), so `lanes` host workers drain them
-// concurrently and the upload of solve k+1 overlaps the kernels of solve
-// k — the double-buffered staging pattern of the paper's multi-GPU model.
+// All N three-node chains live in one task graph; the chains share no
+// edges (the factors are read-only, every solve owns its residual and
+// output slot), so `lanes` host workers drain them concurrently and the
+// upload of solve k+1 overlaps the kernels of solve k — the
+// double-buffered staging pattern of the paper's multi-GPU model.
 //
-// Bit-identity across policies is by construction: each chain writes a
-// disjoint output slot, every reduction runs in fixed order inside one
+// Bit-identity across lane counts is by construction: each chain writes
+// a disjoint output slot, every reduction runs in fixed order inside one
 // task body, and launches are DECLARED at build time in program order on
 // the calling thread, so the modeled schedule (kernel_ms, transfer
-// totals) is policy-independent and the results match the sequential loop
-// limb for limb regardless of completion order.
+// totals) is lane-independent and the results match a one-lane run limb
+// for limb regardless of completion order.
 #pragma once
 
 #include <cassert>
@@ -29,19 +26,15 @@
 #include <vector>
 
 #include "core/refinement.hpp"
-#include "core/solve_options.hpp"
 #include "device/dag_scheduler.hpp"
 
 namespace mdlsq::core {
 
 struct DagSolveOptions {
-  // fork_join replays the historical barrier loop; dag runs the chains
-  // event-driven over `lanes` workers.
-  SchedulePolicy schedule = SchedulePolicy::fork_join;
-  // Concurrent host lanes under the dag policy (1 = caller thread only).
+  // Concurrent host lanes (1 = caller thread only).
   int lanes = 1;
   // Pool the extra lanes borrow helpers from; null with lanes > 1 means
-  // the DAG run owns none and executes on the caller thread.
+  // the run owns none and executes on the caller thread.
   util::ThreadPool* pool = nullptr;
   // Test injection: called per (node, worker) before a node's body runs.
   std::function<void(int node, int worker)> delay_hook;
@@ -63,16 +56,8 @@ std::vector<blas::Vector<T>> batch_correction_solves(
   const int n = static_cast<int>(residuals.size());
   std::vector<blas::Vector<T>> out(static_cast<std::size_t>(n));
 
-  if (opt.schedule == SchedulePolicy::fork_join) {
-    for (int k = 0; k < n; ++k)
-      out[static_cast<std::size_t>(k)] = correction_solve_staged_run<T>(
-          dev, &q, &rtop, std::span<const T>(residuals[std::size_t(k)]), m,
-          c, tile);
-    return out;
-  }
-
-  // DAG route: one graph of n independent chains.  `residuals` and `out`
-  // outlive exec.run below, satisfying the keep-alive contract of
+  // One graph of n independent chains.  `residuals` and `out` outlive
+  // exec.run below, satisfying the keep-alive contract of
   // correction_solve_staged_exec.
   device::GraphExec exec;
   exec.run_options.pool = opt.pool;
@@ -88,21 +73,22 @@ std::vector<blas::Vector<T>> batch_correction_solves(
 }
 
 // Dry-run pricing of the batch's task graph: the modeled makespan over
-// `lanes` execution lanes versus the serialized (fork-join lower bound)
-// schedule.  The declared launches are identical to the functional batch,
-// so dev accumulates the same modeled kernel/transfer totals either way.
+// `lanes` execution lanes versus the serialized (one-lane) schedule.  The
+// declared launches are identical to the functional batch, so dev
+// accumulates the same modeled kernel/transfer totals either way.
 template <class T>
 device::MakespanResult batch_correction_solves_dry(device::Device& dev,
                                                    int solves, int m, int c,
                                                    int tile, int lanes) {
   assert(dev.mode() == device::ExecMode::dry_run);
-  device::GraphExec exec;
+  device::TaskGraph g;
+  device::GraphExec exec(g);
   for (int k = 0; k < solves; ++k)
     correction_solve_staged_exec<T>(dev, exec, nullptr, nullptr,
                                     std::span<const T>{}, nullptr, m, c,
                                     tile);
   exec.run(dev);  // dry: appends the phase barrier, keeps the graph
-  return device::dag_makespan(exec.graph(), {1, lanes});
+  return device::dag_makespan(g, {1, lanes});
 }
 
 }  // namespace mdlsq::core

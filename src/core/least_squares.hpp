@@ -22,7 +22,6 @@
 
 #include "blas/gemm.hpp"
 #include "core/blocked_qr.hpp"
-#include "core/solve_options.hpp"
 #include "core/tiled_back_sub.hpp"
 #include "device/dag_scheduler.hpp"
 
@@ -46,7 +45,7 @@ struct LeastSquaresResult {
 // The post-factorization stages of the pipeline — y = (Q^H b)[0:C]
 // against a RESIDENT Q, the plane-contiguous copy of R's leading triangle
 // into the back-substitution operand, and the tiled back substitution —
-// shared verbatim by the cold pipeline (least_squares_run below) and the
+// shared verbatim by the cold pipeline (least_squares_exec below) and the
 // serve layer's warm cache-hit path (serve/service.hpp), which replays
 // them against factors held resident by the factor cache.  Warm solves
 // are limb-identical to cold solves by construction: the QR pipeline is
@@ -54,8 +53,9 @@ struct LeastSquaresResult {
 // ones, and this function issues the identical launches either way.
 // Functional mode returns the resident solution (the caller unstages it);
 // dry-run mode prices the identical schedule with null operands.
-template <class T, class Exec>
-device::Staged1D<T> staged_lsq_finish_exec(device::Device& dev, Exec& exec,
+template <class T>
+device::Staged1D<T> staged_lsq_finish_exec(device::Device& dev,
+                                           device::GraphExec& exec,
                                            const StagedQr<T>* f,
                                            const device::Staged1D<T>* sb,
                                            int M, int C, int tile) {
@@ -66,8 +66,8 @@ device::Staged1D<T> staged_lsq_finish_exec(device::Device& dev, Exec& exec,
 
   // y = (Q^H b)[0:C] against the RESIDENT Q, one block per output entry;
   // each y_j is one whole dot product, so the launch fans out over column
-  // blocks (DESIGN.md §5).  Under the DAG schedule this wave is a root —
-  // it overlaps the diagonal-tile inversions of the back substitution.
+  // blocks (DESIGN.md §5).  This wave is a graph root — it overlaps the
+  // diagonal-tile inversions of the back substitution.
   device::Staged1D<T> y;
   if (fn) y = device::Staged1D<T>(C);
   device::Wave yw;
@@ -112,19 +112,9 @@ device::Staged1D<T> staged_lsq_finish_exec(device::Device& dev, Exec& exec,
   return y;
 }
 
-// Fork-join finish — the historical entry point (the serve layer's warm
-// path replays it), schedule and results unchanged.
 template <class T>
-device::Staged1D<T> staged_lsq_finish(device::Device& dev,
-                                      const StagedQr<T>* f,
-                                      const device::Staged1D<T>* sb, int M,
-                                      int C, int tile) {
-  device::DirectExec exec;
-  return staged_lsq_finish_exec<T>(dev, exec, f, sb, M, C, tile);
-}
-
-template <class T, class Exec>
-LeastSquaresResult<T> least_squares_exec(device::Device& dev, Exec& exec,
+LeastSquaresResult<T> least_squares_exec(device::Device& dev,
+                                         device::GraphExec& exec,
                                          const blas::Matrix<T>* a,
                                          const blas::Vector<T>* b, int M,
                                          int C, int tile) {
@@ -145,10 +135,10 @@ LeastSquaresResult<T> least_squares_exec(device::Device& dev, Exec& exec,
     dev.price_staging<T>(M, 1);
   }
 
-  // Launches are DECLARED at build time in program order under every
-  // executor, so the modeled kernel-time split below is executor-
-  // independent (the graph may still be executing tasks out of program
-  // order — declaration, not completion, prices the schedule).
+  // Launches are DECLARED at build time in program order, so the modeled
+  // kernel-time split below is width-independent (the graph executes
+  // tasks out of program order — declaration, not completion, prices the
+  // schedule).
   StagedQr<T> f =
       blocked_qr_staged_exec<T>(dev, exec, fn ? &sa : nullptr, M, C, tile);
   out.qr_kernel_ms = dev.kernel_ms();
@@ -168,36 +158,20 @@ LeastSquaresResult<T> least_squares_exec(device::Device& dev, Exec& exec,
   return out;
 }
 
-template <class T>
-LeastSquaresResult<T> least_squares_run(device::Device& dev,
-                                        const blas::Matrix<T>* a,
-                                        const blas::Vector<T>* b, int M,
-                                        int C, int tile) {
-  device::DirectExec exec;
-  return least_squares_exec<T>(dev, exec, a, b, M, C, tile);
-}
-
-// Functional entry point.  `schedule` selects the host execution policy:
-// fork_join replays the historical barrier schedule; dag runs the same
-// launches event-driven over the Device's pool (results bit-identical,
-// tallies exact — DESIGN.md §13).
+// Functional entry point: the launches run event-driven over the
+// Device's pool (results bit-identical at every width, tallies exact —
+// DESIGN.md §13).
 template <class T>
 LeastSquaresResult<T> least_squares(device::Device& dev,
                                     const blas::Matrix<T>& a,
-                                    const blas::Vector<T>& b, int tile,
-                                    SchedulePolicy schedule =
-                                        SchedulePolicy::fork_join) {
-  if (schedule == SchedulePolicy::dag) {
-    device::GraphExec exec;
-    return least_squares_exec<T>(dev, exec, &a, &b, a.rows(), a.cols(),
-                                 tile);
-  }
-  return least_squares_run<T>(dev, &a, &b, a.rows(), a.cols(), tile);
+                                    const blas::Vector<T>& b, int tile) {
+  device::GraphExec exec;
+  return least_squares_exec<T>(dev, exec, &a, &b, a.rows(), a.cols(), tile);
 }
 
 // Dry-run DAG pricing: the modeled makespan of the pipeline's task graph
-// on `lanes` concurrent execution lanes, against the serialized schedule
-// (the fork-join lower bound dev.kernel_ms() approaches as waves widen).
+// on `lanes` concurrent execution lanes, against the serialized
+// (one-lane) schedule.
 struct DagPricing {
   double makespan_ms = 0;       // modeled event-driven completion time
   double serialized_ms = 0;     // sum of node times (1-lane schedule)
@@ -208,19 +182,21 @@ template <class T>
 DagPricing least_squares_dag_dry(device::Device& dev, int rows, int cols,
                                  int tile, int lanes) {
   assert(dev.mode() == device::ExecMode::dry_run);
-  device::GraphExec exec;
+  device::TaskGraph g;
+  device::GraphExec exec(g);
   least_squares_exec<T>(dev, exec, nullptr, nullptr, rows, cols, tile);
-  const device::MakespanResult m =
-      device::dag_makespan(exec.graph(), {1, lanes});
+  const device::MakespanResult m = device::dag_makespan(g, {1, lanes});
   return {m.makespan_ms, m.serialized_ms, m.critical_path_ms};
 }
 
-// Dry-run entry point.
+// Dry-run entry point: declares the launches, builds no graph.
 template <class T>
 LeastSquaresResult<T> least_squares_dry(device::Device& dev, int rows,
                                         int cols, int tile) {
   assert(dev.mode() == device::ExecMode::dry_run);
-  return least_squares_run<T>(dev, nullptr, nullptr, rows, cols, tile);
+  device::GraphExec exec;
+  return least_squares_exec<T>(dev, exec, nullptr, nullptr, rows, cols,
+                               tile);
 }
 
 }  // namespace mdlsq::core

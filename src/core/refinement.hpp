@@ -27,6 +27,7 @@
 #include "core/back_substitution.hpp"
 #include "core/blocked_qr.hpp"
 #include "core/householder.hpp"
+#include "device/dag_scheduler.hpp"
 #include "md/mdreal.hpp"
 
 namespace mdlsq::core {
@@ -97,8 +98,12 @@ blas::Vector<TL> correction_solve_run(device::Device& dev,
 // same multiple-double operation order, so the result is limb-identical
 // to a solve against the unstaged factors (the staged conformance suite
 // pins it).
-template <class T, class Exec>
-device::Wave correction_solve_staged_exec(device::Device& dev, Exec& exec,
+//
+// The three nodes (residual transfer -> Q^H r -> back substitution) are
+// added to `exec`'s graph after `after`; the caller runs it.
+template <class T>
+device::Wave correction_solve_staged_exec(device::Device& dev,
+                                          device::GraphExec& exec,
                                           const device::Staged2D<T>* q,
                                           const device::Staged2D<T>* rtop,
                                           std::span<const T> r,
@@ -117,15 +122,15 @@ device::Wave correction_solve_staged_exec(device::Device& dev, Exec& exec,
   const std::int64_t esz = 8 * blas::scalar_traits<T>::doubles_per_element;
 
   // Wall-clock transfer model: residual in, correction out — one priced
-  // transfer node, so under a DAG schedule the upload of one solve's
+  // transfer node, so in a graph of many solves the upload of one solve's
   // residual can overlap another solve's kernels (double buffering).
   const device::Wave up = exec.transfer_node(
       dev, "residual transfer", (std::int64_t(m) + c) * esz, {after});
 
   // The intermediate y = (Q^H r)[0:c] is shared by the two launch bodies;
-  // under a deferred executor they may run long after this frame returns,
-  // so it lives on the heap, owned by the closures.  The caller keeps the
-  // residual storage behind `r` and `*out` alive until the graph runs.
+  // they may run long after this frame returns, so it lives on the heap,
+  // owned by the closures.  The caller keeps the residual storage behind
+  // `r` and `*out` alive until the graph runs.
   auto y = std::make_shared<blas::Vector<T>>(c);
   device::Wave qhr;
   {
@@ -153,20 +158,6 @@ device::Wave correction_solve_staged_exec(device::Device& dev, Exec& exec,
                      });
   }
   return bs;
-}
-
-template <class T>
-blas::Vector<T> correction_solve_staged_run(device::Device& dev,
-                                            const device::Staged2D<T>* q,
-                                            const device::Staged2D<T>* rtop,
-                                            std::span<const T> r, int m,
-                                            int c, int tile) {
-  device::DirectExec exec;
-  blas::Vector<T> dx;
-  correction_solve_staged_exec<T>(dev, exec, q, rtop, r,
-                                  dev.functional() ? &dx : nullptr, m, c,
-                                  tile);
-  return dx;
 }
 
 // Dry-run pricing of one correction solve for given dimensions.

@@ -1,7 +1,7 @@
 // The shared execution knobs of every solver driver.
 //
 // Before this header, the same three knobs — the host execution engine's
-// tile-task width, the optional shared tile pool it draws helpers from
+// worker width, the optional shared tile pool it draws helpers from
 // (DESIGN.md §5), and the precision-ladder rung sequence (DESIGN.md §10)
 // — were declared four times with slightly divergent comments and
 // defaults drift risk: AdaptiveOptions, BatchedLsqOptions, TrackOptions
@@ -13,8 +13,8 @@
 //
 // Semantics of the three knobs (identical wherever they appear):
 //
-//   parallelism — tiled kernel bodies of every Device the driver runs
-//     execute as up to `parallelism` concurrent tasks (DESIGN.md §5).
+//   parallelism — the launch graphs of every Device the driver runs
+//     execute on up to `parallelism` concurrent workers (DESIGN.md §5).
 //     Results are bit-identical at every width; the knob changes only how
 //     the host spends wall-clock.
 //
@@ -40,28 +40,15 @@ class ThreadPool;
 
 namespace mdlsq::core {
 
-// How a staged driver turns its launch schedule into host execution:
-//   fork_join — every launch is a barrier: its tiled tasks fan out over
-//     the pool and join before the next launch issues (DESIGN.md §5);
-//   dag — launches become nodes of a device::TaskGraph with explicit
-//     event edges and run event-driven (per-device ready queues, work
-//     stealing, no wave barriers — DESIGN.md §13).  Results stay
-//     bit-identical to fork_join and sequential, and measured == analytic
-//     tallies hold, by construction.
-enum class SchedulePolicy { fork_join, dag };
-
 struct ExecOptions {
-  // Host execution engine width (DESIGN.md §5): tiled kernel bodies run
-  // as up to `parallelism` concurrent tasks.  Bit-identical at any width.
+  // Host execution engine width (DESIGN.md §5): launch graphs run on up
+  // to `parallelism` concurrent workers.  Bit-identical at any width.
   int parallelism = 1;
   // Shared tile pool; null means the driver owns one when parallelism > 1.
   util::ThreadPool* tile_pool = nullptr;
   // Explicit precision-ladder rung sequence; empty means the default
   // doubling ladder.  Validation semantics are core::resolve_rungs'.
   std::vector<int> rungs;
-  // Launch schedule execution policy (DESIGN.md §13).  Drivers that have
-  // not grown a DAG route yet reject `dag` with std::invalid_argument.
-  SchedulePolicy schedule = SchedulePolicy::fork_join;
 };
 
 }  // namespace mdlsq::core

@@ -17,7 +17,7 @@
 // Stage names match the row legend of the paper's Tables 7-9.
 //
 // Staged-resident execution (DESIGN.md §8): the driver
-// tiled_back_sub_staged_run works IN PLACE on staged storage — U's
+// tiled_back_sub_staged_exec works IN PLACE on staged storage — U's
 // diagonal tiles are overwritten by their inverses (the paper's
 // registers-to-global write-back) and the staged right-hand side becomes
 // the solution — so a pipeline that already holds R and y resident (the
@@ -30,9 +30,9 @@
 // Host execution engine (DESIGN.md §5): the diagonal-tile inversions are
 // independent, and within one diagonal step i every row block j < i of
 // the update wave owns a disjoint slice of the right-hand side, so both
-// launches fan out as tile tasks on the Device's thread pool
-// (launch_tiled) and really run concurrently on the host — bit-identical
-// to the sequential walk at every parallelism width.
+// launches fan out as task-graph nodes on the Device's thread pool and
+// really run concurrently on the host — bit-identical at every
+// parallelism width.
 #pragma once
 
 #include <cassert>
@@ -45,7 +45,7 @@
 #include "blas/matrix.hpp"
 #include "blas/panel.hpp"
 #include "core/tally_rules.hpp"
-#include "device/dag.hpp"
+#include "device/dag_scheduler.hpp"
 #include "device/launch.hpp"
 #include "device/staged.hpp"
 
@@ -68,17 +68,17 @@ inline constexpr std::int64_t bs_paper_launches(int nt) noexcept {
 // mode, null in dry-run mode.  Launch schedule only; the caller owns the
 // stage()/unstage() transfer pricing.
 //
-// Executor parameterization (DESIGN.md §13): under device::GraphExec the
-// diagonal-tile inversions are root tasks that overlap whatever produced
-// the right-hand side (`x_ready` — the Q^H b wave when called from the
-// least-squares finish), while the bottom-up traversal is the natural
+// Task graph (DESIGN.md §13): the diagonal-tile inversions are root
+// tasks that overlap whatever produced the right-hand side (`x_ready` —
+// the Q^H b wave when called from the least-squares finish), while the
+// bottom-up traversal is the natural
 // chain multiply(i) -> update(i) -> multiply(i-1): update(i) reads the
 // x-tile multiply(i) wrote and writes the tiles every earlier step reads.
 // The accumulated graph RUNS before this function returns (the shared xi
 // scratch below lives in this frame), which also executes any nodes the
 // caller queued earlier in the same phase.
-template <class T, class Exec>
-void tiled_back_sub_staged_exec(device::Device& dev, Exec& exec,
+template <class T>
+void tiled_back_sub_staged_exec(device::Device& dev, device::GraphExec& exec,
                                 device::Staged2D<T>* u,
                                 device::Staged1D<T>* x, int nt, int n,
                                 device::Wave x_ready = {}) {
@@ -170,18 +170,10 @@ void tiled_back_sub_staged_exec(device::Device& dev, Exec& exec,
     }
   }
 
-  // Deferred-mode execution of THIS PHASE's accumulated graph (including
-  // any nodes the caller queued before handing us the executor) happens
-  // here, while the shared xi scratch is alive.
+  // THIS PHASE's accumulated graph (including any nodes the caller
+  // queued before handing us the executor) executes here, while the
+  // shared xi scratch is alive.
   exec.run(dev);
-}
-
-// Fork-join staged driver — the historical entry point, unchanged.
-template <class T>
-void tiled_back_sub_staged_run(device::Device& dev, device::Staged2D<T>* u,
-                               device::Staged1D<T>* x, int nt, int n) {
-  device::DirectExec exec;
-  tiled_back_sub_staged_exec<T>(dev, exec, u, x, nt, n);
 }
 
 // Shared host-boundary driver; `u` and `b` non-null in functional mode.
@@ -196,15 +188,16 @@ blas::Vector<T> tiled_back_sub_run(device::Device& dev,
   assert(!fn || (u != nullptr && b != nullptr &&
                  u->rows() == dim && u->cols() == dim &&
                  static_cast<int>(b->size()) == dim));
+  device::GraphExec exec;
   if (fn) {
     device::Staged2D<T> su = dev.stage(*u);
     device::Staged1D<T> sx = dev.stage(*b);
-    tiled_back_sub_staged_run<T>(dev, &su, &sx, nt, n);
+    tiled_back_sub_staged_exec<T>(dev, exec, &su, &sx, nt, n);
     return dev.unstage(sx);
   }
   dev.price_staging<T>(dim, dim);
   dev.price_staging<T>(dim, 1);
-  tiled_back_sub_staged_run<T>(dev, nullptr, nullptr, nt, n);
+  tiled_back_sub_staged_exec<T>(dev, exec, nullptr, nullptr, nt, n);
   dev.price_staging<T>(dim, 1);
   return {};
 }

@@ -1,24 +1,23 @@
 // The task-DAG layer of the device simulator (DESIGN.md §13): a
-// TaskGraph of priced launches with EXPLICIT event edges, replacing the
-// fork-join wave barriers of Device::launch_tiled with true dependency
-// tracking — a trailing-update task may run while the next panel column
-// factors, and a modeled transfer may overlap modeled compute, whenever
-// the data dependencies allow it.
+// TaskGraph of priced launches with EXPLICIT event edges — the only way
+// launches of the staged drivers execute on the host.  A trailing-update
+// task may run while the next panel column factors, and a modeled
+// transfer may overlap modeled compute, whenever the data dependencies
+// allow it.
 //
 // Determinism is by construction, not by scheduling luck:
 //   * every node's writes are disjoint from every concurrently-runnable
 //     node's writes (the builders encode true dependencies as edges), and
 //     each body keeps its fixed internal reduction order — so the memory
-//     effects are bit-identical to the sequential execution regardless of
+//     effects are bit-identical to a one-worker run regardless of
 //     completion order;
 //   * all launch bookkeeping (stage aggregates, analytic tallies, modeled
 //     kernel_ms) happens at graph-BUILD time on one thread in program
 //     order via Device::declare_deferred, so even the floating-point
-//     accumulation order of the modeled times matches the fork-join walk;
+//     accumulation order of the modeled times is width-independent;
 //   * measured tallies are folded back per node in node-id (= program)
-//     order after the run (device/dag_scheduler.hpp), which is exactly
-//     the order launch_tiled sums per-task tallies — measured == analytic
-//     holds at any width.
+//     order after the run (device/dag_scheduler.hpp) — measured ==
+//     analytic holds at any width.
 //
 // Edges point BACKWARD (to lower node ids) — enforced at add() — so a
 // TaskGraph is acyclic by construction and both the scheduler and the
@@ -29,8 +28,8 @@
 // dedicated transfer lane per device (the double-buffered staging model:
 // the wire is its own resource, so the transfer of chain k+1 overlaps the
 // compute of chain k).  It returns the simulated makespan next to the
-// serialized sum of all node costs — the fork-join-comparable schedule —
-// so pricers can report the ratio directly.
+// serialized sum of all node costs (the one-lane schedule), so pricers
+// can report the ratio directly.
 #pragma once
 
 #include <algorithm>
@@ -39,31 +38,47 @@
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "device/launch.hpp"
-#include "md/op_counts.hpp"
 
 namespace mdlsq::device {
 
 enum class TaskKind : std::uint8_t { kernel, transfer, host };
 
-// One schedulable unit.  A fork-join launch_tiled of ntasks becomes
-// ntasks nodes sharing one declared launch (each carrying 1/ntasks of the
-// modeled time); `device` selects the ready-queue shard / lane group —
-// the DevicePool slot for batched graphs, 0 for single-device graphs.
-// `body` is empty in dry-run graphs (and for pure barrier nodes).
+// One schedulable unit.  A tiled launch of ntasks becomes ntasks nodes
+// sharing one declared launch (each carrying 1/ntasks of the modeled
+// time); `device` selects the ready-queue shard / lane group — the
+// DevicePool slot for batched graphs, 0 for single-device graphs.  `body`
+// is empty in dry-run graphs (and for pure barrier nodes).  Nodes of a
+// declared launch or transfer name it through `launch` and take their
+// label from it; free-standing nodes carry their own.
 struct TaskNode {
   std::string label;
   TaskKind kind = TaskKind::kernel;
   int device = 0;
   double modeled_ms = 0.0;
-  int stage_index = -1;        // Device stage the measured tally folds into
-  Device* dev = nullptr;       // device owning that stage (not owned)
+  int launch = -1;             // index into TaskGraph::launches(), or -1
   std::function<void()> body;  // runs on some worker; empty = no-op node
   std::vector<int> deps;       // node ids this node waits on (all < own id)
+};
+
+// One declared launch (kernel) or priced transfer whose tasks are the
+// nodes [begin, end).  The scheduler folds those nodes' measured tallies
+// into stage `stage_index` of `dev` and, under a live trace session,
+// emits ONE span per record — the Cat::kernel / Cat::transfer view of the
+// launch that Device::launch gives its own (DESIGN.md §12).
+struct LaunchRecord {
+  std::string name;
+  TaskKind kind = TaskKind::kernel;
+  int limbs = 0;
+  double modeled_ms = 0.0;  // the whole launch's price
+  std::int64_t bytes = 0;
+  Device* dev = nullptr;    // device owning the stage (not owned)
+  int stage_index = -1;     // measured-tally target; -1 = none
+  int begin = 0;
+  int end = 0;  // exclusive
 };
 
 // A contiguous range of node ids added by one launch site — the
@@ -92,10 +107,27 @@ class TaskGraph {
     return id;
   }
 
+  // Registers a launch record; its nodes are added next and name it.
+  int add_launch(LaunchRecord r) {
+    launches_.push_back(std::move(r));
+    return static_cast<int>(launches_.size()) - 1;
+  }
+
   int size() const noexcept { return static_cast<int>(nodes_.size()); }
   bool empty() const noexcept { return nodes_.empty(); }
   std::vector<TaskNode>& nodes() noexcept { return nodes_; }
   const std::vector<TaskNode>& nodes() const noexcept { return nodes_; }
+  std::vector<LaunchRecord>& launches() noexcept { return launches_; }
+  const std::vector<LaunchRecord>& launches() const noexcept {
+    return launches_;
+  }
+
+  // The name a node's spans carry: its launch's, else its own label.
+  const std::string& label_of(int node) const noexcept {
+    const TaskNode& n = nodes_[static_cast<std::size_t>(node)];
+    return n.launch >= 0 ? launches_[static_cast<std::size_t>(n.launch)].name
+                         : n.label;
+  }
 
   // Current sinks — nodes nothing depends on yet.  A phase barrier
   // depends on exactly these.
@@ -109,6 +141,7 @@ class TaskGraph {
   void clear() noexcept {
     nodes_.clear();
     outdeg_.clear();
+    launches_.clear();
   }
 
   // Flatten dependency handles into a node's edge list.
@@ -121,6 +154,7 @@ class TaskGraph {
  private:
   std::vector<TaskNode> nodes_;
   std::vector<int> outdeg_;
+  std::vector<LaunchRecord> launches_;
 };
 
 // Longest modeled path from each node to a sink (the node's own cost
@@ -152,7 +186,7 @@ struct MakespanOptions {
 
 struct MakespanResult {
   double makespan_ms = 0.0;       // simulated DAG schedule length
-  double serialized_ms = 0.0;     // sum of all node costs (fork-join walk)
+  double serialized_ms = 0.0;     // sum of all node costs (one lane)
   double critical_path_ms = 0.0;  // longest dependency chain (lower bound)
 };
 
@@ -245,56 +279,5 @@ inline MakespanResult dag_makespan(const TaskGraph& g,
   }
   return out;
 }
-
-// --- executors -----------------------------------------------------------
-// The staged drivers in core/ are templated over an executor so ONE body
-// of launch-site code serves both schedules.  DirectExec is the fork-join
-// fallback (SchedulePolicy::fork_join): it forwards to Device::launch /
-// launch_tiled immediately, ignoring the dependency handles — behavior
-// identical to the pre-DAG engine, launch for launch.  GraphExec (in
-// device/dag_scheduler.hpp) defers the bodies into a TaskGraph instead.
-
-struct DirectExec {
-  template <class F>
-  Wave launch(Device& dev, std::string_view stage, int blocks, int threads,
-              const md::OpTally& ops, std::int64_t bytes,
-              const md::OpTally& serial, std::initializer_list<Wave>,
-              F&& body) {
-    dev.launch(stage, blocks, threads, ops, bytes, serial,
-               std::forward<F>(body));
-    return {};
-  }
-
-  template <class F>
-  Wave launch_tiled(Device& dev, std::string_view stage, int blocks,
-                    int threads, const md::OpTally& ops, std::int64_t bytes,
-                    const md::OpTally& serial, int ntasks,
-                    std::initializer_list<Wave>, F&& body) {
-    dev.launch_tiled(stage, blocks, threads, ops, bytes, serial, ntasks,
-                     std::forward<F>(body));
-    return {};
-  }
-
-  // Host-side bookkeeping between launches (e.g. zeroing a scratch
-  // accumulator) — free in the device model, runs only functionally.
-  Wave host(Device& dev, std::string_view, std::initializer_list<Wave>,
-            std::function<void()> body) {
-    if (dev.functional() && body) body();
-    return {};
-  }
-
-  // A priced host<->device transfer; the graph executor gives it a wire
-  // node, here it is the classic immediate Device::transfer.
-  Wave transfer_node(Device& dev, std::string_view, std::int64_t bytes,
-                     std::initializer_list<Wave>,
-                     std::function<void()> body = {}) {
-    dev.transfer(bytes);
-    if (dev.functional() && body) body();
-    return {};
-  }
-
-  // End-of-phase hook: nothing deferred, nothing to run.
-  void run(Device&) {}
-};
 
 }  // namespace mdlsq::device

@@ -14,14 +14,16 @@
 // measured and analytic tallies agree exactly, which pins the analytic
 // formulas to the real algorithm.
 //
-// Functional kernels may additionally execute for real on multiple host
-// threads: launch_tiled() partitions a kernel body into independent tasks
-// and spreads them over a util::ThreadPool attached with
-// set_parallelism().  The declared launch bookkeeping (blocks, analytic
-// tally, bytes, modeled time) is identical to launch() — the knob changes
-// only how the host spends wall-clock on the body — and per-task measured
-// tallies are summed in task-index order, so measured == analytic and
-// bit-identical results hold at every parallelism width (DESIGN.md §5).
+// launch() declares one launch and runs its one body on the calling
+// thread.  Launches partitioned into independent tasks go through the
+// task graph instead (device::GraphExec, device/dag_scheduler.hpp): the
+// graph declares each launch here (declare_deferred) and runs its tasks
+// over the util::ThreadPool attached with set_parallelism().  The
+// declared bookkeeping (blocks, analytic tally, bytes, modeled time) is
+// the same either way — the knob changes only how the host spends
+// wall-clock on the bodies — and per-task measured tallies are folded in
+// program order, so measured == analytic and bit-identical results hold
+// at every parallelism width (DESIGN.md §5).
 #pragma once
 
 #include <cassert>
@@ -101,9 +103,10 @@ class Device {
   ExecMode mode() const noexcept { return mode_; }
   bool functional() const noexcept { return mode_ == ExecMode::functional; }
 
-  // Attaches the host execution engine: tiled kernel bodies run as up to
-  // `width` concurrent tasks — the calling thread plus at most width-1
-  // workers of `pool`.  Null pool or width <= 1 keeps bodies sequential.
+  // Attaches the host execution engine: task graphs run on this device
+  // use up to `width` concurrent workers — the calling thread plus at
+  // most width-1 workers of `pool` — and tiled launches partition into
+  // that many tasks.  Null pool or width <= 1 keeps bodies on the caller.
   // The knob never touches the modeled schedule, only host wall-clock.
   void set_parallelism(util::ThreadPool* pool, int width) noexcept {
     pool_ = (pool != nullptr && width > 1) ? pool : nullptr;
@@ -134,37 +137,6 @@ class Device {
     }
   }
 
-  // Launches one kernel whose body is partitioned into `ntasks`
-  // independent tasks: body(t) for t in [0, ntasks).  Tasks must write
-  // disjoint state (the caller's tiling guarantees it), so any execution
-  // order yields bit-identical memory effects; per-task measured tallies
-  // are accumulated separately and summed in task-index order, keeping
-  // the stage's measured tally exactly equal to the sequential run.
-  // The declared bookkeeping is identical to launch() — one launch, same
-  // blocks/ops/bytes/modeled time — at every parallelism width.
-  template <class F>
-  void launch_tiled(std::string_view stage, int blocks, int threads,
-                    const md::OpTally& ops, std::int64_t bytes,
-                    const md::OpTally& serial, int ntasks, F&& body) {
-    const Declared d = declare(stage, blocks, threads, ops, bytes, serial);
-    obs::Span span(stage, obs::Cat::kernel, md::limbs_of(prec_));
-    span.set_modeled_ms(d.kernel_ms);
-    span.set_bytes(bytes);
-    StageStats& st = *d.stats;
-    if (mode_ != ExecMode::functional) return;
-    if (pool_ != nullptr && width_ > 1 && ntasks > 1) {
-      std::vector<md::OpTally> per_task(static_cast<std::size_t>(ntasks));
-      util::run_tasks(pool_, width_, ntasks, [&](int t) {
-        md::ScopedTally scope(per_task[static_cast<std::size_t>(t)]);
-        body(t);
-      });
-      for (const md::OpTally& t : per_task) st.measured += t;
-    } else {
-      md::ScopedTally scope(st.measured);
-      for (int t = 0; t < ntasks; ++t) body(t);
-    }
-  }
-
   // Records a host <-> device transfer of `bytes` (wall-clock model only).
   void transfer(std::int64_t bytes) noexcept { transfer_bytes_ += bytes; }
 
@@ -179,14 +151,15 @@ class Device {
   // (stage aggregate, blocks, analytic tally, bytes, modeled time) WITHOUT
   // running a body: a graph builder declares every launch in program order
   // on one thread — so per-stage sums, including the floating-point
-  // kernel_ms accumulation order, are bit-identical to the fork-join
-  // walk — and hands the bodies to the scheduler as task nodes.  The
-  // returned stage INDEX stays valid across stages_ reallocation (a bare
-  // StageStats* would not).  record_measured() folds a task's measured
-  // tally back into its stage; the graph executor calls it once per node
-  // in node-id (= declaration/program) order after the run, which is the
-  // same order launch_tiled() sums per-task tallies — measured == analytic
-  // holds exactly, regardless of completion order.
+  // kernel_ms accumulation order, are width-independent — and hands the
+  // bodies to the scheduler as task nodes.  In dry-run mode the
+  // declaration IS the whole launch, so it is traced like launch()'s
+  // (the scheduler traces functional launches when their tasks run).
+  // The returned stage INDEX stays valid across stages_ reallocation (a
+  // bare StageStats* would not).  record_measured() folds a task's
+  // measured tally back into its stage; the graph executor calls it once
+  // per node in node-id (= declaration/program) order after the run —
+  // measured == analytic holds exactly, regardless of completion order.
   struct DeferredLaunch {
     int stage_index;   // index into stages()
     double kernel_ms;  // modeled time of THIS launch
@@ -197,6 +170,11 @@ class Device {
                                   std::int64_t bytes,
                                   const md::OpTally& serial) {
     const Declared d = declare(stage, blocks, threads, ops, bytes, serial);
+    if (mode_ != ExecMode::functional) {
+      obs::Span span(stage, obs::Cat::kernel, md::limbs_of(prec_));
+      span.set_modeled_ms(d.kernel_ms);
+      span.set_bytes(bytes);
+    }
     return {static_cast<int>(d.stats - stages_.data()), d.kernel_ms};
   }
 
@@ -362,8 +340,8 @@ class Device {
   md::Precision prec_;
   ExecMode mode_;
   TimingParams tp_;
-  util::ThreadPool* pool_ = nullptr;  // tile-task engine (not owned)
-  int width_ = 1;                     // tasks per tiled launch, incl. caller
+  util::ThreadPool* pool_ = nullptr;  // task-graph helpers (not owned)
+  int width_ = 1;                     // graph workers, incl. the caller
   std::vector<StageStats> stages_;
   std::int64_t transfer_bytes_ = 0;
 };

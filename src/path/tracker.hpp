@@ -37,11 +37,12 @@
 //     pole-radius estimate): the step halves h and re-predicts, bounded
 //     by min_step.
 //
-// Every stage runs through Device::launch / launch_tiled with an
-// exactly-declared tally, so functional and dry-run modes walk identical
-// schedules (track_step_dry prices one step from recorded iteration
-// counts; track_dry prices the expected whole-path schedule for the LPT
-// sharding policy of batched_tracker.hpp).  Real scalars only, like the
+// Every stage runs through Device::launch or a task graph
+// (device::GraphExec) with an exactly-declared tally, so functional and
+// dry-run modes walk identical schedules (track_step_dry prices one step
+// from recorded iteration counts; track_dry prices the expected
+// whole-path schedule for the LPT sharding policy of
+// batched_tracker.hpp).  Real scalars only, like the
 // adaptive ladder.
 #pragma once
 
@@ -61,6 +62,7 @@
 #include "core/adaptive_lsq.hpp"
 #include "core/block_toeplitz.hpp"
 #include "core/solve_options.hpp"
+#include "device/dag_scheduler.hpp"
 #include "device/device_spec.hpp"
 #include "device/launch.hpp"
 #include "obs/trace.hpp"
@@ -254,7 +256,7 @@ void launch_eval_ab(device::Device& dev, int m, int aterms, int bterms,
 }
 
 // r = b1 - A1 x, tiled over row blocks (disjoint writes, fixed reduction
-// order inside each task).
+// order inside each task) — a one-launch task graph.
 template <class T, class Body>
 void launch_residual(device::Device& dev, int m, int tile, Body&& body) {
   using O = core::ops_of<T>;
@@ -263,10 +265,12 @@ void launch_residual(device::Device& dev, int m, int tile, Body&& body) {
       O::fma() * (std::int64_t(m) * m) + O::sub() * std::int64_t(m);
   const md::OpTally serial =
       O::fma() * ceil_div(m, tile) + O::add() * 6 + O::sub();
-  dev.launch_tiled(stage::residual, m, tile, ops,
-                   (std::int64_t(m) * m + 2 * std::int64_t(m)) * esz, serial,
-                   blas::block_count(m, dev.parallelism()),
-                   std::forward<Body>(body));
+  device::GraphExec exec;
+  exec.launch_tiled(dev, stage::residual, m, tile, ops,
+                    (std::int64_t(m) * m + 2 * std::int64_t(m)) * esz, serial,
+                    blas::block_count(m, dev.parallelism()), {},
+                    std::forward<Body>(body));
+  exec.run(dev);
 }
 
 // --- step outcome ------------------------------------------------------------

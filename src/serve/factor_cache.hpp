@@ -5,9 +5,9 @@
 // against the same operator skip both the factorization launches and the
 // input staging transfer.  Staged residency (PR 5 / DESIGN.md §8) is what
 // makes the hit nearly free: a cached factor is already in limb-planar
-// device storage, and the warm path (core::staged_lsq_finish) replays the
-// identical post-factorization launches against it, so cache-hit results
-// are limb-identical to cold results by construction.
+// device storage, and the warm path (core::staged_lsq_finish_exec)
+// replays the identical post-factorization launches against it, so
+// cache-hit results are limb-identical to cold results by construction.
 //
 // Keying.  The fingerprint hashes the matrix SHAPE plus every limb of
 // every element bitwise (FNV-1a over the raw double bit patterns), so a

@@ -20,7 +20,7 @@
 //
 //   factor cache — fixed-precision LsqJobs consult the FactorCache
 //     before factorizing.  A hit stages ONLY the right-hand side and
-//     replays core::staged_lsq_finish against the resident cached
+//     replays core::staged_lsq_finish_exec against the resident cached
 //     factors — the identical post-factorization launches the cold path
 //     issues — so warm results are limb-identical to cold results and
 //     measured == analytic holds unchanged (the warm schedule is a
@@ -32,7 +32,7 @@
 //     drivers' isolation argument: results are bit-identical to
 //     sequential solves and tallies are exact per job, so service-level
 //     conservation — sum of per-job tallies == aggregate report tally —
-//     holds by construction).  Tiled kernel bodies of every job may
+//     holds by construction).  The launch graphs of every job may
 //     additionally fan out over ONE shared tile pool (DESIGN.md §5),
 //     sized once for the whole service.
 //
@@ -42,6 +42,7 @@
 // drivers print.
 #pragma once
 
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -316,6 +317,18 @@ class SolverService {
     if (tile < 1 || a.cols() % tile != 0)
       throw std::invalid_argument(std::string("mdlsq: ") + kind +
                                   " tile must be >= 1 and divide cols");
+    // A NaN or infinity anywhere in an expansion shows in its leading
+    // limb, so one scan of the leading limbs rejects non-finite input
+    // before it can be solved into a NaN answer or cached as a factor.
+    for (int i = 0; i < a.rows(); ++i)
+      for (int j = 0; j < a.cols(); ++j)
+        if (!std::isfinite(a(i, j).limb(0)))
+          throw std::invalid_argument(std::string("mdlsq: ") + kind +
+                                      " matrix has a non-finite entry");
+    for (const T& v : b)
+      if (!std::isfinite(v.limb(0)))
+        throw std::invalid_argument(std::string("mdlsq: ") + kind +
+                                    " rhs has a non-finite entry");
   }
 
   // Admission price: the modeled wall time of the job's dry-run schedule
@@ -463,8 +476,8 @@ class SolverService {
   // Fixed-precision least squares through the factor cache.  Warm path:
   // stage b only, replay the shared post-factorization stages against
   // the cached resident factors (limb-identical to cold by construction
-  // — see core::staged_lsq_finish).  Cold path: the full pipeline, then
-  // the still-resident factors go into the cache.
+  // — see core::staged_lsq_finish_exec).  Cold path: the full pipeline,
+  // then the still-resident factors go into the cache.
   void run_lsq(const device::DeviceSpec& spec, LsqJob<NH>& job,
                Response<NH>& resp) {
     const int M = job.a.rows(), C = job.a.cols();
@@ -473,6 +486,7 @@ class SolverService {
     dev.set_parallelism(tile_pool_ ? &*tile_pool_ : nullptr,
                         opt_.parallelism);
 
+    device::GraphExec exec;
     std::shared_ptr<const core::StagedQr<T>> cached;
     FactorKey key;
     if (opt_.cache_bytes > 0) {
@@ -483,8 +497,8 @@ class SolverService {
     if (cached != nullptr) {
       obs::Span span("cache hit", obs::Cat::cache, NH);
       device::Staged1D<T> sb = dev.stage(job.b);
-      device::Staged1D<T> y =
-          core::staged_lsq_finish<T>(dev, cached.get(), &sb, M, C, job.tile);
+      device::Staged1D<T> y = core::staged_lsq_finish_exec<T>(
+          dev, exec, cached.get(), &sb, M, C, job.tile);
       resp.x = dev.unstage(y);
       resp.cache_hit = true;
     } else {
@@ -492,9 +506,9 @@ class SolverService {
       device::Staged2D<T> sa = dev.stage(job.a);
       device::Staged1D<T> sb = dev.stage(job.b);
       core::StagedQr<T> f =
-          core::blocked_qr_staged_run<T>(dev, &sa, M, C, job.tile);
+          core::blocked_qr_staged_exec<T>(dev, exec, &sa, M, C, job.tile);
       device::Staged1D<T> y =
-          core::staged_lsq_finish<T>(dev, &f, &sb, M, C, job.tile);
+          core::staged_lsq_finish_exec<T>(dev, exec, &f, &sb, M, C, job.tile);
       resp.x = dev.unstage(y);
       if (opt_.cache_bytes > 0) {
         const std::int64_t bytes = f.q.bytes() + f.r.bytes();

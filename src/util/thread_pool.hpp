@@ -1,7 +1,6 @@
-// A minimal fixed-size host thread pool plus the fork-join task helper
-// the parallel execution engine is built on: submit void() jobs, then
-// wait() for the queue to drain, or hand run_tasks() a family of
-// independent tasks to spread over the pool and the calling thread.
+// A minimal fixed-size host thread pool — the substrate of the task-graph
+// executor (device/dag_scheduler.hpp): submit void() jobs, then wait()
+// for the queue to drain.
 //
 // Exception safety: a throwing job no longer terminates the process.  The
 // worker captures the first exception via std::exception_ptr and wait()
@@ -10,20 +9,17 @@
 // destruction is swallowed — destructors must not throw — so drivers that
 // care must wait() before the pool dies.
 //
-// The batched least-squares driver submits one job per device shard, so
-// the pool's width bounds how many simulated devices make progress
-// concurrently on the host; a second, shared pool feeds the tile-level
-// tasks of Device::launch_tiled.  Results are bitwise independent of
-// either width because shards never share mutable state (DESIGN.md §2)
-// and tile tasks write disjoint blocks (DESIGN.md §5).
+// The batched drivers size one pool per call for their problem-level
+// graph workers; a second, shared pool lends helpers to each problem's
+// launch graphs (Device::set_parallelism).  Results are bitwise
+// independent of either width because problems never share mutable
+// state (DESIGN.md §2) and tile tasks write disjoint blocks (DESIGN.md §5).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <latch>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -108,69 +104,5 @@ class ThreadPool {
   int pending_ = 0;
   bool stopping_ = false;
 };
-
-// Fork-join execution of `ntasks` independent tasks: fn(0) .. fn(ntasks-1)
-// each run exactly once, spread over up to `width-1` pool workers plus the
-// calling thread, which always participates (so `width == parallelism`:
-// a width-P region occupies P threads, of which P-1 come from the pool).
-// Tasks are claimed from a shared atomic counter, so any number of
-// concurrent run_tasks regions can share one pool without interfering —
-// each region joins on its own latch, never on the pool queue.
-//
-// Contract for callers (the determinism argument of DESIGN.md §5): tasks
-// must write disjoint state and take no locks; under that contract the
-// memory effects are independent of the claiming order, so results are
-// bit-identical to the sequential `for (t) fn(t)` loop.
-//
-// Exceptions: each task's exception is captured in task-index order and
-// the lowest-index one is rethrown after the join, independent of thread
-// scheduling — the error a caller sees is deterministic.
-template <class F>
-void run_tasks(ThreadPool* pool, int width, int ntasks, F&& fn) {
-  if (ntasks <= 0) return;
-  const int helpers =
-      pool ? std::min({width - 1, ntasks - 1, pool->size()}) : 0;
-  if (helpers <= 0) {
-    for (int t = 0; t < ntasks; ++t) fn(t);
-    return;
-  }
-
-  std::atomic<int> next{0};
-  std::vector<std::exception_ptr> errs(static_cast<std::size_t>(ntasks));
-  auto drain = [&]() noexcept {
-    int t;
-    while ((t = next.fetch_add(1, std::memory_order_relaxed)) < ntasks) {
-      try {
-        fn(t);
-      } catch (...) {
-        errs[static_cast<std::size_t>(t)] = std::current_exception();
-      }
-    }
-  };
-
-  // Every helper that was actually submitted counts the latch down; a
-  // submit failure (allocation) counts down the never-submitted rest so
-  // the join below can never dangle the stack state a running helper
-  // still references, and the error surfaces after the join.
-  std::latch joined(helpers);
-  std::exception_ptr submit_err;
-  int submitted = 0;
-  try {
-    for (; submitted < helpers; ++submitted)
-      pool->submit([&drain, &joined] {
-        drain();
-        joined.count_down();
-      });
-  } catch (...) {
-    submit_err = std::current_exception();
-    for (int h = submitted; h < helpers; ++h) joined.count_down();
-  }
-  drain();
-  joined.wait();
-
-  for (auto& e : errs)
-    if (e) std::rethrow_exception(e);
-  if (submit_err) std::rethrow_exception(submit_err);
-}
 
 }  // namespace mdlsq::util

@@ -62,7 +62,8 @@ bool bitwise_equal(const blas::Vector<T>& a, const blas::Vector<T>& b) {
   return true;
 }
 
-// The sequential baseline: each problem solved alone on a fresh device.
+// The sequential baseline: each problem solved alone on a fresh device,
+// its launch graphs run at width 1.
 template <class T>
 std::vector<core::BatchedProblemResult<T>> sequential_solves(
     const std::vector<BatchProblem<T>>& batch) {

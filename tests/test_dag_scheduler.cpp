@@ -1,24 +1,27 @@
-// The event-driven task-DAG engine (DESIGN.md §13): graph construction,
-// makespan pricing, and — the load-bearing guarantee — DETERMINISM UNDER
-// SCHEDULING CHAOS.  The stress tests below inject randomized per-node
-// delays through DagRunOptions::delay_hook to scramble completion order
-// across workers, then pin the two invariants the design argues by
-// construction:
+// The event-driven task-DAG engine (DESIGN.md §13) — the one host
+// executor: graph construction, makespan pricing, and — the load-bearing
+// guarantee — DETERMINISM UNDER SCHEDULING CHAOS.  The stress tests below
+// inject randomized per-node delays through DagRunOptions::delay_hook to
+// scramble completion order across workers, then pin the two invariants
+// the design argues by construction:
 //
-//   * bit-identity: every result limb matches the sequential fork-join
-//     walk, at every width, under every completion order;
+//   * bit-identity: every result limb matches the width-1 graph run, at
+//     every width, under every completion order;
 //   * exact accounting: measured == analytic per stage (the per-node
 //     tallies fold back in program order), and the modeled schedule
-//     (kernel_ms, launch counts) is policy-independent because all
+//     (kernel_ms, launch counts) is width-independent because all
 //     declaring happens at graph-build time.
 //
 // Also covered: the lowest-node-id error-rethrow discipline, work
-// stealing across device shards, the batched coarse-grained DAG route,
-// and the dry-run makespan pricing that feeds the bench gate.
+// stealing across device shards, the batched coarse-grained graph (direct
+// and adaptive pipelines), the dry-run rule (declare only, unless a
+// makespan pricer supplies a graph), one kernel span per launch at every
+// width, and the dry-run makespan pricing that feeds the bench gate.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -32,6 +35,7 @@
 #include "core/least_squares.hpp"
 #include "device/dag.hpp"
 #include "device/dag_scheduler.hpp"
+#include "obs/trace.hpp"
 #include "support/test_support.hpp"
 #include "util/thread_pool.hpp"
 
@@ -234,6 +238,42 @@ TEST(RunGraph, LowestNodeIdErrorWinsDeterministically) {
   }
 }
 
+TEST(RunGraph, CallerDrainsWhileHelpersAreParked) {
+  // Park every pool worker behind a gate BEFORE the run, so the helper
+  // jobs queue up and the first node can only be taken by the calling
+  // thread.  That node opens the gate (it must, or the join would wait
+  // forever on the parked helpers), letting the helpers join the rest.
+  util::ThreadPool pool(3);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  for (int i = 0; i < pool.size(); ++i)
+    pool.submit([opened] { opened.wait(); });
+
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran_first{false};
+  std::atomic<int> ran{0};
+  device::TaskGraph g;
+  for (int i = 0; i < 64; ++i) {
+    auto n = node_ms("n", 1.0);
+    n.body = [&, i] {
+      if (i == 0) {
+        caller_ran_first = std::this_thread::get_id() == caller;
+        gate.set_value();
+      }
+      ++ran;
+    };
+    g.add(std::move(n));
+  }
+  device::DagRunOptions opt;
+  opt.pool = &pool;
+  opt.width = 4;
+  const auto stats = device::run_graph(g, opt);
+  EXPECT_TRUE(caller_ran_first.load());
+  EXPECT_EQ(ran.load(), 64);
+  EXPECT_EQ(stats.executed, 64);
+  pool.wait();
+}
+
 TEST(RunGraph, StealsAcrossDeviceShards) {
   // All nodes pinned to shard 0 while two workers run over two shards:
   // worker 1's home queue is always empty, so every node it executes is
@@ -268,17 +308,19 @@ void stress_least_squares(int rows, int cols, int tile, std::uint64_t seed) {
   auto a = blas::random_matrix<T>(rows, cols, gen);
   auto b = blas::random_vector<T>(rows, gen);
 
-  // Sequential fork-join reference.
+  // Width-1 graph reference (the caller drains every node in ready order).
   auto ref_dev = make_dev<T>(device::ExecMode::functional);
   auto ref = core::least_squares(ref_dev, a, b, tile);
 
   util::ThreadPool pool(3);
-  for (int width : {1, 4}) {
-    SCOPED_TRACE("dag width " + std::to_string(width));
+  for (int width : {1, 2, 4}) {
+    SCOPED_TRACE("chaos width " + std::to_string(width));
     auto dev = make_dev<T>(device::ExecMode::functional);
     if (width > 1) dev.set_parallelism(&pool, width);
-    auto res =
-        core::least_squares(dev, a, b, tile, core::SchedulePolicy::dag);
+    device::GraphExec exec;
+    exec.run_options.delay_hook = chaos_delay;
+    auto res = core::least_squares_exec<T>(dev, exec, &a, &b, rows, cols,
+                                           tile);
 
     // Bit-identity regardless of completion order.
     expect_matrix_bits(res.factors.q, ref.factors.q);
@@ -286,7 +328,7 @@ void stress_least_squares(int rows, int cols, int tile, std::uint64_t seed) {
     expect_vector_bits(res.x, ref.x);
     // Exact accounting: per-node tallies folded in program order.
     expect_stage_tallies_exact(dev);
-    // The modeled schedule is declaration-driven, policy-independent.
+    // The modeled schedule is declaration-driven, width-independent.
     EXPECT_DOUBLE_EQ(dev.kernel_ms(), ref_dev.kernel_ms());
     EXPECT_EQ(dev.launches(), ref_dev.launches());
     EXPECT_TRUE(dev.analytic_total() == ref_dev.analytic_total());
@@ -305,7 +347,7 @@ TEST(DagStress, LeastSquaresComplexQuadDouble) {
 
 // --- determinism stress: batched correction solves ---------------------------
 
-TEST(DagStress, BatchCorrectionSolvesMatchForkJoinUnderChaos) {
+TEST(DagStress, BatchCorrectionSolvesMatchOneLaneUnderChaos) {
   using T = md::qd_real;
   std::mt19937_64 gen(0xda63);
   const int m = 12, tile = 4, solves = 24;
@@ -319,7 +361,7 @@ TEST(DagStress, BatchCorrectionSolvesMatchForkJoinUnderChaos) {
   for (int k = 0; k < solves; ++k)
     residuals.push_back(blas::random_vector<T>(m, gen));
 
-  // Fork-join reference on the same device (factors resident there).
+  // One-lane reference on the same device (factors resident there).
   const auto ref = core::batch_correction_solves<T>(
       dev_ref, solver.staged_q(), solver.staged_rtop(), residuals, m, m,
       tile);
@@ -332,7 +374,6 @@ TEST(DagStress, BatchCorrectionSolvesMatchForkJoinUnderChaos) {
     auto dev = make_dev<T>(device::ExecMode::functional);
     core::BlockToeplitzSolver<T> s2(dev, blocks, tile);
     core::DagSolveOptions opt;
-    opt.schedule = core::SchedulePolicy::dag;
     opt.lanes = lanes;
     opt.pool = lanes > 1 ? &pool : nullptr;
     opt.delay_hook = chaos_delay;
@@ -359,7 +400,7 @@ TEST(DagSolve, RejectsNonFunctionalDevice) {
       std::invalid_argument);
 }
 
-// --- dry-run pricing: the DAG schedule must beat fork-join -------------------
+// --- dry-run pricing: the DAG schedule must beat one lane --------------------
 
 TEST(DagPricing, BatchedSolveChainsOverlapAcrossLanes) {
   using T = md::dd_real;
@@ -382,8 +423,8 @@ TEST(DagPricing, LeastSquaresPipelinePricesBelowSerialized) {
   EXPECT_LE(p.critical_path_ms, p.makespan_ms + 1e-12);
   // The wide waves of the trailing update expose real overlap.
   EXPECT_LT(p.makespan_ms, p.serialized_ms);
-  // Declaring through GraphExec accumulates the same modeled totals as
-  // the fork-join dry walk.
+  // Filling a pricing graph declares the same modeled totals as the
+  // plain (declare-only) dry walk.
   auto dry2 = make_dev<T>(device::ExecMode::dry_run);
   core::least_squares_dry<T>(dry2, 96, 48, 8);
   EXPECT_DOUBLE_EQ(dry.kernel_ms(), dry2.kernel_ms());
@@ -393,7 +434,7 @@ TEST(DagPricing, LeastSquaresPipelinePricesBelowSerialized) {
 
 // --- batched least squares over a heterogeneous pool -------------------------
 
-TEST(DagBatched, HeterogeneousPoolMatchesForkJoin) {
+TEST(DagBatched, HeterogeneousPoolMatchesOneWorker) {
   using T = md::dd_real;
   std::mt19937_64 gen(0xda64);
   std::vector<core::BatchProblem<T>> batch;
@@ -409,10 +450,11 @@ TEST(DagBatched, HeterogeneousPoolMatchesForkJoin) {
 
   core::BatchedLsqOptions opt;
   opt.tile = 4;
+  opt.threads = 1;
   const auto ref = core::batched_least_squares<T>(pool, batch, opt);
 
   core::BatchedLsqOptions dopt = opt;
-  dopt.schedule = core::SchedulePolicy::dag;
+  dopt.threads = 0;  // one worker per pool slot, stealing across slots
   const auto got = core::batched_least_squares<T>(pool, batch, dopt);
 
   // The shard assignment (and thus each problem's spec) is shared, so
@@ -430,17 +472,104 @@ TEST(DagBatched, HeterogeneousPoolMatchesForkJoin) {
             static_cast<std::int64_t>(3 * batch.size()));
 }
 
-TEST(DagBatched, AdaptivePipelineRejectsDagPolicy) {
-  using T = md::dd_real;
+TEST(DagBatched, AdaptivePipelineRunsThroughTheGraph) {
+  // The coarse graph solves each problem on one thread against its
+  // slot's spec, so the adaptive ladder rides it unchanged: every
+  // problem matches a standalone adaptive solve limb for limb.
+  using T = md::qd_real;
   std::mt19937_64 gen(0xda65);
   std::vector<core::BatchProblem<T>> batch;
-  batch.push_back(core::BatchProblem<T>::functional(
-      blas::random_matrix<T>(8, 4, gen), blas::random_vector<T>(8, gen)));
+  for (int rows : {8, 12, 10})
+    batch.push_back(core::BatchProblem<T>::functional(
+        blas::random_matrix<T>(rows, 4, gen),
+        blas::random_vector<T>(rows, gen)));
   auto pool = core::DevicePool::homogeneous(device::volta_v100(), 2);
   core::BatchedLsqOptions opt;
   opt.tile = 4;
   opt.pipeline = core::BatchPipeline::adaptive;
-  opt.schedule = core::SchedulePolicy::dag;
-  EXPECT_THROW(core::batched_least_squares<T>(pool, batch, opt),
-               std::invalid_argument);
+  opt.adaptive.tol = 1e-40;
+  const auto got = core::batched_least_squares<T>(pool, batch, opt);
+  EXPECT_EQ(got.dag_stats.executed,
+            static_cast<std::int64_t>(3 * batch.size()));
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE("problem " + std::to_string(i));
+    core::AdaptiveOptions aopt = opt.adaptive;
+    aopt.tile = opt.tile;
+    const auto ref = core::adaptive_least_squares<4>(
+        device::volta_v100(), batch[i].a, batch[i].b, aopt);
+    expect_vector_bits(got.problems[i].x, ref.x);
+    EXPECT_EQ(got.problems[i].converged, ref.converged);
+    EXPECT_TRUE(got.problems[i].measured == got.problems[i].analytic);
+  }
+}
+
+TEST(GraphExecRun, ThrowingPhaseLeavesNoStaleNodes) {
+  // A node error unwinds the driver frame its siblings reference; the
+  // executor must drop that phase so the next run executes only new work.
+  using T = md::dd_real;
+  auto dev = make_dev<T>(device::ExecMode::functional);
+  device::GraphExec exec;
+  int ran = 0;
+  exec.launch(dev, "fails", 1, 1, {}, 0, {}, {},
+              [] { throw std::runtime_error("node failed"); });
+  exec.launch(dev, "sibling", 1, 1, {}, 0, {}, {}, [&ran] { ++ran; });
+  EXPECT_THROW(exec.run(dev), std::runtime_error);
+  const int before = ran;
+  exec.launch(dev, "next", 1, 1, {}, 0, {}, {}, [&ran] { ran += 10; });
+  exec.run(dev);
+  EXPECT_EQ(ran, before + 10);
+}
+
+// --- the dry-run rule: declare only, unless pricing a makespan ---------------
+
+TEST(GraphExecDry, DeclaresWithoutBuildingAGraph) {
+  using T = md::dd_real;
+  md::OpTally ops;
+  ops.add = 64;
+  ops.mul = 64;
+  auto dry = make_dev<T>(device::ExecMode::dry_run);
+  device::GraphExec plain;
+  const device::Wave w = plain.launch_tiled(dry, "k", 4, 8, ops, 512, {}, 4,
+                                            {}, [](int) {});
+  EXPECT_TRUE(w.empty());  // no node was built
+  EXPECT_EQ(dry.launches(), 1);
+
+  auto dry2 = make_dev<T>(device::ExecMode::dry_run);
+  device::TaskGraph g;
+  device::GraphExec priced(g);
+  const device::Wave w2 = priced.launch_tiled(dry2, "k", 4, 8, ops, 512, {},
+                                              4, {}, [](int) {});
+  EXPECT_EQ(w2.end - w2.begin, 4);
+  EXPECT_EQ(g.size(), 4);
+  ASSERT_EQ(g.launches().size(), 1u);
+  EXPECT_DOUBLE_EQ(g.launches()[0].modeled_ms, dry2.kernel_ms());
+  EXPECT_DOUBLE_EQ(dry.kernel_ms(), dry2.kernel_ms());
+}
+
+// --- tracing: one kernel span per declared launch, at every width ------------
+
+TEST(GraphTrace, OneKernelSpanPerLaunchAtEveryWidth) {
+  using T = md::dd_real;
+  std::mt19937_64 gen(0xda66);
+  auto a = blas::random_matrix<T>(32, 16, gen);
+  auto b = blas::random_vector<T>(32, gen);
+  util::ThreadPool pool(3);
+  for (int width : {1, 4}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    auto dev = make_dev<T>(device::ExecMode::functional);
+    if (width > 1) dev.set_parallelism(&pool, width);
+    obs::TraceSession session;
+    core::least_squares(dev, a, b, 4);
+    int kernels = 0;
+    double modeled = 0.0;
+    for (const auto& r : session.snapshot().spans)
+      if (r.cat == obs::Cat::kernel) {
+        ++kernels;
+        modeled += r.modeled_ms;
+        EXPECT_EQ(r.limbs, 2);
+        EXPECT_LE(r.start_ns, r.end_ns);
+      }
+    EXPECT_EQ(kernels, dev.launches());
+    EXPECT_NEAR(modeled, dev.kernel_ms(), 1e-9 * std::max(1.0, modeled));
+  }
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -446,6 +447,36 @@ TEST(ServeValidation, MalformedRequestsThrowFromSubmit) {
   EXPECT_EQ(svc.stats().submitted, 0) << "misuse must not consume job ids";
 }
 
+TEST(ServeValidation, NonFiniteLsqInputThrowsBeforeTheCache) {
+  serve::ServiceOptions opt;
+  opt.cache_bytes = std::int64_t(1) << 24;
+  serve::SolverService<2> svc(
+      core::DevicePool::homogeneous(device::volta_v100(), 1), opt);
+  auto [a, b] = random_problem<2>(16, 8, 0xbad2);
+  // Warm the cache with one good factor so "unchanged" is not vacuous.
+  ASSERT_TRUE(svc.submit(lsq_request<2>(a, b, 8)).result.get().status ==
+              serve::JobStatus::done);
+  const serve::FactorCacheStats before = svc.cache_stats();
+  ASSERT_EQ(before.entries, 1);
+
+  auto nan_a = a;
+  nan_a(3, 5) = md::dd_real(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_THROW(svc.submit(lsq_request<2>(nan_a, b, 8)),
+               std::invalid_argument);
+  auto inf_b = b;
+  inf_b[7] = md::dd_real(-std::numeric_limits<double>::infinity());
+  EXPECT_THROW(svc.submit(lsq_request<2>(a, inf_b, 8)),
+               std::invalid_argument);
+
+  svc.drain();
+  const serve::FactorCacheStats after = svc.cache_stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.bytes, before.bytes);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(svc.stats().submitted, 1) << "rejected input spends no id";
+}
+
 TEST(ServeValidation, ServiceAndCacheConstructionValidate) {
   EXPECT_THROW(serve::SolverService<2>(core::DevicePool{}),
                std::invalid_argument);
@@ -520,7 +551,9 @@ TEST(ServeStats, MixedWorkloadCountersAreConsistent) {
   {
     auto dev = test_support::make_dev<md::qd_real>(device::ExecMode::functional);
     auto sa = dev.stage(a);
-    auto f = core::blocked_qr_staged_run<md::qd_real>(dev, &sa, 32, 16, 16);
+    device::GraphExec exec;
+    auto f = core::blocked_qr_staged_exec<md::qd_real>(dev, exec, &sa, 32,
+                                                       16, 16);
     factor_bytes = f.q.bytes() + f.r.bytes();
   }
   ASSERT_GT(factor_bytes, 0);

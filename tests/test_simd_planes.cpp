@@ -287,7 +287,7 @@ TEST(SimdFusedDd, PanelKernelsBitIdenticalAcrossIsasAndSplits) {
     expect_bits_eq(wlo, w0lo, "col_dots lo", isa);
 
     // Partition invariance: splitting the column range at any point must
-    // not change a single bit (the task-width contract of launch_tiled).
+    // not change a single bit (the task-width contract of tiled launches).
     for (int cut : {1, 5, 12}) {
       std::vector<double> shi(cols), slo(cols);
       t->dd_col_dots(ahi.data(), alo.data(), lda, rows, 0, cut, vhi.data(),

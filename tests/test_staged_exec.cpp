@@ -109,7 +109,8 @@ void check_staged_vs_host(const ShapeCase& c) {
   auto a = blas::random_matrix<T>(c.rows, c.cols, gen);
   auto b = blas::random_vector<T>(c.rows, gen);
 
-  // The interleaved (pre-resident) recomposition, sequential.
+  // The interleaved (pre-resident) recomposition, run as width-1 graphs —
+  // the reference every width must match.
   auto ref_dev = make_dev<T>(device::ExecMode::functional);
   auto ref = lsq_interleaved<T>(ref_dev, a, b, c.tile);
 

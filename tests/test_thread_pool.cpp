@@ -1,26 +1,19 @@
-// util::ThreadPool and util::run_tasks — the substrate of the parallel
-// execution engine (DESIGN.md §5).
+// util::ThreadPool — the substrate of the task-graph executor
+// (DESIGN.md §5, §13; the executor's own contract is pinned in
+// test_dag_scheduler.cpp).
 //
 // Regression coverage for the exception-propagation bug: a throwing job
 // used to escape worker_loop() and terminate the process; now the first
 // exception is captured via std::exception_ptr and rethrown at wait(),
-// with the pool still usable afterwards.  run_tasks adds the fork-join
-// contract: every index runs exactly once, the calling thread
-// participates, and the lowest-index task exception is rethrown
-// deterministically regardless of thread scheduling.
+// with the pool still usable afterwards.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
-#include <set>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include "util/thread_pool.hpp"
 
 using mdlsq::util::ThreadPool;
-using mdlsq::util::run_tasks;
 
 TEST(ThreadPool, ExceptionPropagatesToWait) {
   ThreadPool pool(2);
@@ -60,74 +53,4 @@ TEST(ThreadPool, DestructionWithPendingExceptionDoesNotTerminate) {
     // No wait(): the destructor must swallow the captured exception.
   }
   SUCCEED();
-}
-
-TEST(RunTasks, EveryIndexRunsExactlyOnce) {
-  ThreadPool pool(3);
-  constexpr int kTasks = 97;
-  std::vector<std::atomic<int>> hits(kTasks);
-  run_tasks(&pool, 4, kTasks, [&](int t) { ++hits[std::size_t(t)]; });
-  for (int t = 0; t < kTasks; ++t) EXPECT_EQ(hits[std::size_t(t)].load(), 1);
-}
-
-TEST(RunTasks, CallingThreadParticipates) {
-  ThreadPool pool(3);
-  // Park every worker behind a gate BEFORE run_tasks, so its helper jobs
-  // queue up and the first task can only be claimed by the calling
-  // thread — deterministic, not a race the caller happens to win.  The
-  // first task opens the gate (it must, or the join would wait forever
-  // on the parked helpers), letting the workers drain the rest.
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  for (int i = 0; i < pool.size(); ++i) pool.submit([opened] { opened.wait(); });
-
-  const auto caller = std::this_thread::get_id();
-  std::atomic<bool> caller_claimed_first{false};
-  std::atomic<int> ran{0};
-  run_tasks(&pool, 4, 64, [&](int t) {
-    if (t == 0) {
-      caller_claimed_first = std::this_thread::get_id() == caller;
-      gate.set_value();
-    }
-    ++ran;
-  });
-  EXPECT_TRUE(caller_claimed_first.load());
-  EXPECT_EQ(ran.load(), 64);
-  pool.wait();
-}
-
-TEST(RunTasks, NullPoolAndWidthOneAreSequential) {
-  std::vector<int> order;
-  run_tasks(nullptr, 8, 5, [&](int t) { order.push_back(t); });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-
-  ThreadPool pool(2);
-  order.clear();
-  run_tasks(&pool, 1, 5, [&](int t) { order.push_back(t); });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(RunTasks, MoreWidthThanTasks) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  run_tasks(&pool, 16, 3, [&](int t) { ++hits[std::size_t(t)]; });
-  for (int t = 0; t < 3; ++t) EXPECT_EQ(hits[std::size_t(t)].load(), 1);
-}
-
-TEST(RunTasks, LowestIndexExceptionWinsDeterministically) {
-  ThreadPool pool(3);
-  for (int rep = 0; rep < 20; ++rep) {
-    std::atomic<int> ran{0};
-    try {
-      run_tasks(&pool, 4, 32, [&](int t) {
-        ++ran;
-        if (t == 7) throw std::runtime_error("seven");
-        if (t == 21) throw std::logic_error("twenty-one");
-      });
-      FAIL() << "run_tasks must rethrow";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "seven");  // 7 < 21, whatever the schedule
-    }
-    EXPECT_EQ(ran.load(), 32);  // an exception skips no sibling task
-  }
 }

@@ -2,9 +2,10 @@
 // (DESIGN.md §5): at any parallelism width the blocked QR, the tiled back
 // substitution, the least-squares pipeline, the batched driver and the
 // adaptive ladder must produce LIMB-FOR-LIMB identical outputs and the
-// exact same declared operation tallies as the sequential run — the
-// conformance shape/limb sweep plus the zero-pivot and tall-skinny edge
-// cases, real and complex.
+// exact same declared operation tallies as the sequential run (the
+// width-1 graph run, the caller draining every node) — the conformance
+// shape/limb sweep plus the zero-pivot and tall-skinny edge cases, real
+// and complex.
 #include <gtest/gtest.h>
 
 #include <random>

@@ -59,13 +59,15 @@ What is gated, and why (DESIGN.md §6):
   pipeline, so serving warm must beat cold outright on any host —
   a cache that stops paying for itself is a regression even where the
   baseline ratios do not apply.
-* dag_speedup (fork-join wall / DAG-schedule wall, the dagsolve cases of
-  bench_suite) and makespan_ratio (serialized modeled schedule / modeled
-  DAG makespan, dry-run) — gated by --min-dag-speedup (off by default):
-  the measured ratio is an absolute floor with the same
-  hardware_concurrency >= 2 guard as --min-speedup, while the modeled
-  makespan_ratio must exceed 1 on every case carrying it, on any host —
-  the dry-run pricer is machine-independent (DESIGN.md §13).
+* dag_speedup (width-1 wall / width-W wall of the same task graph, the
+  dagsolve and hetbatch cases of bench_suite — the graph is the only
+  executor, so the comparator is the same call on one worker) and
+  makespan_ratio (serialized modeled schedule / modeled DAG makespan,
+  dry-run) — gated by --min-dag-speedup (off by default): the measured
+  ratio is an absolute floor with the same hardware_concurrency >= 2
+  guard as --min-speedup, while the modeled makespan_ratio must exceed 1
+  on every case carrying it, on any host — the dry-run pricer is
+  machine-independent (DESIGN.md §13).
 * md_ns (host ns per md add and mul at d2/d4/d8, measured by
   bench_suite) — the d4/d2 and d8/d2 mul RATIOS are gated against the
   baseline's at --tolerance, on any host: a ratio of two timings on one
@@ -151,16 +153,17 @@ def main():
                          "servehit cases whose cold wall clears "
                          "--min-wall-ms (0 = disabled)")
     ap.add_argument("--min-dag-speedup", type=float, default=0.0,
-                    help="absolute floor on the fork-join vs DAG-schedule "
-                         "wall ratio of cases carrying dag_speedup whose "
-                         "fork-join wall clears --min-wall-ms; like "
+                    help="absolute floor on the width-1 vs width-W "
+                         "task-graph wall ratio of cases carrying "
+                         "dag_speedup whose width-1 wall clears "
+                         "--min-wall-ms; like "
                          "--min-speedup it is skipped when the new run's "
                          "hardware_concurrency is below 2 (one core cannot "
                          "overlap work).  When enabled it also requires "
                          "makespan_ratio > 1 on every new case carrying it "
                          "— the machine-independent dry-run check that the "
                          "DAG schedule prices strictly below the serialized "
-                         "fork-join schedule (0 = disabled)")
+                         "one-lane schedule (0 = disabled)")
     ap.add_argument("--min-staged-speedup", type=float, default=1.0,
                     help="absolute floor on the staged-resident vs "
                          "interleaved ratio of layout cases whose "
@@ -298,10 +301,10 @@ def main():
                     f"{args.min_cache_hit_speedup:.2f}x")
 
     # The DAG-schedule gate is two-sided.  The measured wall ratio
-    # (fork-join wall / DAG wall) is an absolute floor like --min-speedup,
-    # and inherits its hardware_concurrency >= 2 guard — event-driven
-    # execution cannot beat fork-join without a second core to overlap
-    # on.  The dry-run makespan_ratio (serialized modeled schedule / DAG
+    # (width-1 wall / width-W wall of one graph) is an absolute floor like
+    # --min-speedup, and inherits its hardware_concurrency >= 2 guard —
+    # more workers cannot beat one without a second core to overlap on.
+    # The dry-run makespan_ratio (serialized modeled schedule / DAG
     # modeled makespan) is machine-INDEPENDENT, so it is required to
     # exceed 1 unconditionally whenever the gate is enabled: the graph
     # must expose real overlap even on hosts where walls cannot show it.
@@ -324,7 +327,7 @@ def main():
                 failures.append(
                     f"{name}: modeled makespan ratio "
                     f"{n['makespan_ratio']:.3f} is not above 1 — the DAG "
-                    f"schedule prices no better than fork-join")
+                    f"schedule prices no better than one lane")
 
     # Host-relative arithmetic cost: md mul at d4 and d8 over d2.
     new_ratios = md_mul_ratios(new_doc)

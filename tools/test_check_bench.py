@@ -168,7 +168,7 @@ class CheckBenchTest(unittest.TestCase):
 
     def test_dag_makespan_ratio_gated_on_any_host(self):
         # ... but the modeled makespan ratio is machine-independent, so a
-        # schedule that prices no better than fork-join fails even on one
+        # schedule that prices no better than one lane fails even on one
         # core.
         base = self.write_doc("base.json", [qr_case()], hw=1)
         new = self.write_doc("new.json", [
